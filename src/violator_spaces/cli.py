@@ -48,6 +48,7 @@ from .instances import lp2d_oracle, miniball_oracle, tabulate
 
 DEFAULT_SEED = 1729
 STRUCTURE_MAX_N = 16
+VALUE_TABLE_KINDS = ("abstract", "concrete")
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -95,15 +96,8 @@ def _oracle_from_file(
         if witness is not None:
             raise CheckFailed(witness.describe(space.names))
         return space.oracle(delta=delta), kind
-    if kind == "abstract":
-        witness = obj.check_axioms()
-        if witness is not None:
-            raise CheckFailed(witness.describe(obj.names))
-        space = obj.violator_map()
-        return space.oracle(delta=delta), kind
-    if kind == "concrete":
-        space = obj.to_abstract().violator_map()
-        return space.oracle(delta=delta), kind
+    if kind in VALUE_TABLE_KINDS:
+        return _violator_table(kind, obj).oracle(delta=delta), kind
     if kind == "uso":
         u, names = obj
         witness = validate_uso(u)
@@ -128,6 +122,16 @@ def _oracle_from_file(
             oracle.delta = delta
         return oracle, kind
     raise ParseError(f"{path}: unsupported file kind {kind}")
+
+
+def _violator_table(kind: str, obj) -> ExplicitViolatorSpace:
+    """The induced violator table of an abstract or concrete value table."""
+    if kind == "abstract":
+        witness = obj.check_axioms()
+        if witness is not None:
+            raise CheckFailed(witness.describe(obj.names))
+        return obj.violator_map()
+    return obj.to_abstract().violator_map()
 
 
 class CheckFailed(Exception):
@@ -281,18 +285,24 @@ def cmd_structure(args) -> int:
     if kind == "explicit":
         space = obj
     else:
+        space = None
         try:
-            oracle, _ = _oracle_from_file(args.path, None)
+            if kind in VALUE_TABLE_KINDS:
+                space = _violator_table(kind, obj)
+            else:
+                oracle, _ = _oracle_from_file(args.path, None)
         except (CheckFailed, EdgeConsistencyError) as exc:
             sys.stderr.write(f"error: input failed validation: {exc}\n")
             return EXIT_WITNESS
-        if oracle.n > STRUCTURE_MAX_N:
+        n = oracle.n if space is None else space.n
+        if n > STRUCTURE_MAX_N:
             sys.stderr.write(
-                f"error: structure needs a table; n={oracle.n} exceeds"
+                f"error: structure needs a table; n={n} exceeds"
                 f" the n <= {STRUCTURE_MAX_N} tabulation guard\n"
             )
             return EXIT_SIZE
-        space = tabulate(oracle)
+        if space is None:
+            space = tabulate(oracle)
 
     witness = space.check_axioms()
     if witness is not None:

@@ -194,7 +194,7 @@ class ViolationOracle(ABC):
             raise ValueError(f"set over ground size {G.n}, oracle has {self.n}")
         if not 0 <= h < self.n:
             raise ValueError(f"index {h} outside 0..{self.n - 1}")
-        if h in G:
+        if (G.mask >> h) & 1:
             raise OracleContractError(
                 f"violation test requires h not in G (h={h}, G={sorted(G)})"
             )

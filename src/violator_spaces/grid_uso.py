@@ -8,10 +8,12 @@ every block to the outmap of its subgrid's sink, and any other set to
 the union of the blocks it misses.
 
 The oracle adapter charges one edge evaluation per single outmap
-membership query.  The solvers only ever ask about vertices and about
-sets missing a block (each one evaluation or none); the sink-scan
-fallback for other queries exists for completeness and its charging is
-a documented choice, not something the reduction relies on.
+membership query.  It precomputes one bitmask per block, so a query on
+a vertex or on a set missing a block costs O(delta) big-integer
+operations (one evaluation or none); any other set falls back to a sink
+scan over its subgrid that charges one evaluation per membership query
+it makes.  Clarkson's solvers only ask about vertices and about sets
+missing a block.
 """
 
 from __future__ import annotations
@@ -83,6 +85,10 @@ class GridPartition:
     def vertices(self) -> Iterable[Vertex]:
         return product(*self.blocks)
 
+    @property
+    def block_masks(self) -> Tuple[int, ...]:
+        return tuple(_mask_of(b) for b in self.blocks)
+
     def vertex_count(self) -> int:
         count = 1
         for b in self.blocks:
@@ -90,11 +96,25 @@ class GridPartition:
         return count
 
 
-def _vertex_mask(J: Vertex) -> int:
+def _mask_of(members: Iterable[int]) -> int:
     m = 0
-    for h in J:
+    for h in members:
         m |= 1 << h
     return m
+
+
+def _missing_blocks(gmask: int, block_masks: Sequence[int]) -> int:
+    """Union of the blocks gmask misses; 0 when it meets every block."""
+    missing = 0
+    for bm in block_masks:
+        if not gmask & bm:
+            missing |= bm
+    return missing
+
+
+def _subgrid(gmask: int, partition: GridPartition) -> Iterable[Vertex]:
+    """Vertices of the subgrid spanned by a set meeting every block."""
+    return product(*([h for h in b if (gmask >> h) & 1] for b in partition.blocks))
 
 
 def _step(J: Vertex, j: int, block_of: Sequence[int]) -> Vertex:
@@ -119,10 +139,11 @@ class GridUso:
             if J not in outmap:
                 raise ValueError(f"outmap missing vertex {J}")
             s = outmap[J]
-            if s < 0 or s & ~full or s & _vertex_mask(J):
+            if s < 0 or s & ~full or s & _mask_of(J):
                 raise ValueError(f"outmap of {J} is not a subset of H minus J")
         self.outmap = {J: outmap[J] for J in vertices}
         self._block_of = block_of
+        self._block_masks = partition.block_masks
         for J in vertices:
             for j in range(n):
                 jj = J[block_of[j]]
@@ -262,13 +283,6 @@ def cyclic_cube_uso() -> GridUso:
     return u
 
 
-def _mask_of(dirs: Iterable[int]) -> int:
-    m = 0
-    for d in dirs:
-        m |= 1 << d
-    return m
-
-
 def random_uso(
     partition: GridPartition, rng: Rng, max_attempts: int = 10000
 ) -> GridUso:
@@ -303,16 +317,10 @@ def uso_violators(u: GridUso, G: ConstraintSet) -> ConstraintSet:
     if not u.validated:
         raise ValueError("validate the orientation first")
     gmask = G.mask
-    members = []
-    missing = 0
-    for b in u.partition.blocks:
-        chosen = [h for h in b if (gmask >> h) & 1]
-        if not chosen:
-            missing |= _mask_of(b)
-        members.append(chosen)
+    missing = _missing_blocks(gmask, u._block_masks)
     if missing:
         return ConstraintSet(missing, u.n)
-    for J in product(*members):
+    for J in _subgrid(gmask, u.partition):
         if u.outmap[J] & gmask == 0:
             return ConstraintSet(u.outmap[J], u.n)
     raise AssertionError("validated USO must have a sink in every subgrid")
@@ -322,9 +330,12 @@ class OutmapOracle(ViolationOracle):
     """Violation oracle over an outmap, counting edge evaluations.
 
     One edge evaluation is one membership query "is j in the outmap of
-    J".  Sets missing a block are answered with no evaluation, vertices
-    with exactly one; anything else falls back to a sink scan that
-    charges one evaluation per membership query it makes.
+    J".  With the block masks computed once, a set missing a block is
+    answered in O(delta) big-integer operations and no evaluation, and a
+    vertex in O(delta) operations and exactly one evaluation.  Any other
+    set falls back to a sink scan over its subgrid, which builds the
+    per-block member lists and charges one evaluation per membership
+    query it makes.
     """
 
     def __init__(
@@ -336,7 +347,7 @@ class OutmapOracle(ViolationOracle):
         super().__init__(partition.n, partition.delta, names=names)
         self.partition = partition
         self._membership = membership
-        self._block_of = partition.block_of
+        self._block_masks = partition.block_masks
         self._edge_evals = _Counter()
 
     @property
@@ -349,18 +360,15 @@ class OutmapOracle(ViolationOracle):
 
     def _violates(self, G: ConstraintSet, h: int) -> bool:
         gmask = G.mask
-        members = []
-        missing = 0
-        for b in self.partition.blocks:
-            chosen = [x for x in b if (gmask >> x) & 1]
-            if not chosen:
-                missing |= _mask_of(b)
-            members.append(chosen)
+        block_masks = self._block_masks
+        missing = _missing_blocks(gmask, block_masks)
         if missing:
             return (missing >> h) & 1 == 1
-        if len(G) == self.partition.delta:
-            return self._query(tuple(c[0] for c in members), h)
-        for J in product(*members):
+        # the block count, not self.delta, which callers may override
+        if gmask.bit_count() == len(block_masks):
+            J = tuple((gmask & bm).bit_length() - 1 for bm in block_masks)
+            return self._query(J, h)
+        for J in _subgrid(gmask, self.partition):
             is_sink = True
             for j in G:
                 if j not in J and self._query(J, j):

@@ -157,6 +157,45 @@ def test_structure_size_guard(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("kind", ["concrete", "abstract"])
+def test_structure_on_value_table_uses_its_violator_table(
+    capsys, tmp_path, monkeypatch, kind
+):
+    import violator_spaces.instances
+    from violator_spaces.fileio import (
+        abstract_to_dict,
+        concrete_to_dict,
+        explicit_to_dict,
+    )
+    from conftest import square_space
+
+    space = square_space()
+    explicit_file = tmp_path / "e.json"
+    explicit_file.write_text(json.dumps(explicit_to_dict(space)))
+    code, out, _ = run_cli(capsys, "structure", explicit_file, "--format", "json")
+    assert code == 0
+    expected = json.loads(out)
+
+    con = space.to_concrete()
+    if kind == "concrete":
+        doc = concrete_to_dict(con)
+    else:
+        doc = abstract_to_dict(con.to_abstract())
+    table_file = tmp_path / f"{kind}.json"
+    table_file.write_text(json.dumps(doc))
+
+    def no_tabulation(*args, **kwargs):
+        raise AssertionError("structure re-tabulated a table it already had")
+
+    monkeypatch.setattr(violator_spaces.instances, "tabulate_oracle", no_tabulation)
+    code, out, _ = run_cli(capsys, "structure", table_file, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload.pop("instance") == str(table_file)
+    expected.pop("instance")
+    assert payload == expected
+
+
 # -- uso subcommand --------------------------------------------------------
 
 

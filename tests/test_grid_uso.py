@@ -238,19 +238,56 @@ def test_solve_on_cyclic_cube_returns_global_sink():
         assert tuple(sorted(C)) == sink_by_scan(u)
 
 
+def _ranked_at_random(partition, seed):
+    rng = Rng(seed)
+    return [rng.subset(list(b), len(b)) for b in partition.blocks]
+
+
+def test_oracle_matches_violator_mapping_on_every_query():
+    usos = [cyclic_cube_uso()]
+    for i, sizes in enumerate([(2, 2), (3, 2), (2, 2, 2)]):
+        p = GridPartition.uniform(list(sizes))
+        usos.append(coordinate_order_uso(p, _ranked(p)))
+        usos.append(coordinate_order_uso(p, _ranked_at_random(p, 50 + i)))
+    for u in usos:
+        blocks = u.partition.blocks
+        oracle = uso_oracle(u)
+        # `vspace solve --delta` overrides the hint; answers must not change
+        overridden = uso_oracle(u)
+        overridden.delta = u.delta + 1
+        for g in range(1 << u.n):
+            G = ConstraintSet(g, u.n)
+            V = uso_violators(u, G)
+            misses_block = not all(any((g >> h) & 1 for h in b) for b in blocks)
+            is_vertex = not misses_block and len(G) == u.delta
+            for h in range(u.n):
+                if (g >> h) & 1:
+                    continue
+                before = oracle.edge_evals
+                assert oracle.violates(G, h) == (h in V)
+                charged = oracle.edge_evals - before
+                if misses_block:
+                    assert charged == 0
+                elif is_vertex:
+                    assert charged == 1
+                else:
+                    assert charged >= 1
+                assert overridden.violates(G, h) == (h in V)
+
+
 def test_lazy_coordinate_oracle_matches_dense():
-    p = GridPartition.uniform([3, 2, 2])
-    rankings = _ranked(p)
-    dense = uso_oracle(coordinate_order_uso(p, rankings))
-    lazy = coordinate_order_oracle(p, rankings)
-    rng = Rng(4)
-    for _ in range(300):
-        g = rng.randbelow(1 << 7)
-        h = rng.randbelow(7)
-        if (g >> h) & 1:
-            continue
-        G = ConstraintSet(g, 7)
-        assert dense.violates(G, h) == lazy.violates(G, h)
+    for i, sizes in enumerate([(3, 2, 2), (4, 4), (2, 2, 2, 2), (3, 3, 2)]):
+        p = GridPartition.uniform(list(sizes))
+        rankings = _ranked_at_random(p, i)
+        dense = uso_oracle(coordinate_order_uso(p, rankings))
+        lazy = coordinate_order_oracle(p, rankings)
+        n = p.n
+        for g in range(1 << n):
+            G = ConstraintSet(g, n)
+            for h in range(n):
+                if not (g >> h) & 1:
+                    assert dense.violates(G, h) == lazy.violates(G, h)
+        assert dense.edge_evals == lazy.edge_evals
 
 
 # -- the reduction, end to end -------------------------------------------
