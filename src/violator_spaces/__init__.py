@@ -20,7 +20,6 @@ from .algorithms import (
     NoBasisFound,
     Rng,
     SamplingReport,
-    WeightOverflow,
     WeightedGroundSet,
     basis1,
     basis2,

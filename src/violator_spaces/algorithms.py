@@ -19,11 +19,9 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from .core import ConstraintSet, SolveStats, ViolationOracle
-
-MAX_WEIGHT_BITS = 128
 
 
 class NoBasisFound(Exception):
@@ -34,10 +32,6 @@ class NoBasisFound(Exception):
 class IterationGuardExceeded(Exception):
     """A randomized loop exceeded a bound that holds for every violator
     space; the oracle almost certainly violates the axioms."""
-
-
-class WeightOverflow(Exception):
-    """A multiplicity left the supported 128-bit range."""
 
 
 def _mix64(*parts: int) -> int:
@@ -122,7 +116,6 @@ class WeightedGroundSet:
         for h, w in self.weights.items():
             if w < 1:
                 raise ValueError(f"multiplicity of {h} must be >= 1")
-        self._check_overflow()
 
     @property
     def total(self) -> int:
@@ -134,15 +127,9 @@ class WeightedGroundSet:
     def double(self, members: Sequence[int]) -> None:
         for h in members:
             self.weights[h] *= 2
-        self._check_overflow()
 
     def items(self) -> List[Tuple[int, int]]:
         return sorted(self.weights.items())
-
-    def _check_overflow(self) -> None:
-        for h, w in self.weights.items():
-            if w.bit_length() > MAX_WEIGHT_BITS:
-                raise WeightOverflow(f"multiplicity of {h} exceeds 128 bits")
 
 
 def trivial_basis(oracle: ViolationOracle, G: ConstraintSet) -> ConstraintSet:
@@ -259,26 +246,46 @@ def _basis1(
                 )
 
 
+def _trivial(
+    oracle: ViolationOracle, G: ConstraintSet, rng: Rng, stats: SolveStats
+) -> ConstraintSet:
+    stats.trivial_calls += 1
+    return trivial_basis(oracle, G)
+
+
+def _with_stats(
+    stage: Callable[..., ConstraintSet],
+    oracle: ViolationOracle,
+    G: ConstraintSet,
+    rng: Rng,
+) -> Tuple[ConstraintSet, SolveStats]:
+    """Run one stage on fresh statistics charged with its primitive calls."""
+    stats = SolveStats(rng_seed=rng.seed)
+    before = oracle.primitive_calls
+    C = stage(oracle, G, rng, stats)
+    stats.primitive_calls = oracle.primitive_calls - before
+    return C, stats
+
+
+def trivial(
+    oracle: ViolationOracle, G: ConstraintSet, rng: Rng
+) -> Tuple[ConstraintSet, SolveStats]:
+    """The base case alone: a basis of G plus run statistics."""
+    return _with_stats(_trivial, oracle, G, rng)
+
+
 def basis2(
     oracle: ViolationOracle, G: ConstraintSet, rng: Rng
 ) -> Tuple[ConstraintSet, SolveStats]:
     """Clarkson's reweighting stage: a basis of G plus run statistics."""
-    stats = SolveStats(rng_seed=rng.seed)
-    before = oracle.primitive_calls
-    C = _basis2(oracle, G, rng, stats)
-    stats.primitive_calls = oracle.primitive_calls - before
-    return C, stats
+    return _with_stats(_basis2, oracle, G, rng)
 
 
 def basis1(
     oracle: ViolationOracle, G: ConstraintSet, rng: Rng
 ) -> Tuple[ConstraintSet, SolveStats]:
     """Clarkson's sampling stage: a basis of G plus run statistics."""
-    stats = SolveStats(rng_seed=rng.seed)
-    before = oracle.primitive_calls
-    C = _basis1(oracle, G, rng, stats)
-    stats.primitive_calls = oracle.primitive_calls - before
-    return C, stats
+    return _with_stats(_basis1, oracle, G, rng)
 
 
 def solve(oracle: ViolationOracle, rng: Rng) -> Tuple[ConstraintSet, SolveStats]:
@@ -297,17 +304,6 @@ class SamplingReport:
     r: int
     seed: int
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "bound": self.bound,
-            "stddev": self.stddev,
-            "trials": self.trials,
-            "r": self.r,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
 
 
 def sampling_check(

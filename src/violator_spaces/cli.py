@@ -4,6 +4,12 @@ Subcommands: check, solve, structure, uso, bench, sampling, probe.
 Every randomized command prints its seed, and identical inputs, flags,
 and seed produce byte-identical output.  Exit codes: 0 success, 1 axiom
 or validation witness, 2 parse error, 3 solver failure, 4 size guard.
+
+Every command reads its input through `_open`, which parses the file
+once and validates it once, and `main` turns each error into its exit
+code.  `check` prints a witness on stdout, because the witness is its
+result; every other command reports an invalid input on stderr as
+"error: input failed validation: <witness>".
 """
 
 from __future__ import annotations
@@ -11,19 +17,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import List, Optional, Sequence, Tuple
 
 from .algorithms import (
     IterationGuardExceeded,
     NoBasisFound,
     Rng,
-    WeightOverflow,
     _mix64,
     basis1,
     basis2,
     sampling_check,
-    solve,
-    trivial_basis,
+    trivial,
 )
 from .core import ConstraintSet, SolveStats, ViolationOracle
 from .explicit import EXHAUSTIVE_WARN_N, ExplicitViolatorSpace
@@ -48,7 +53,6 @@ from .instances import lp2d_oracle, miniball_oracle, tabulate
 
 DEFAULT_SEED = 1729
 STRUCTURE_MAX_N = 16
-VALUE_TABLE_KINDS = ("abstract", "concrete")
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -76,128 +80,104 @@ def _emit_json(obj, out: Optional[str]) -> None:
     _write(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", out)
 
 
-def _load(path: str):
-    kind, obj = load_path(path)
-    return kind, obj
+class CheckFailed(Exception):
+    """An input failed its axiom or USO validation; carries the witness."""
 
 
-def _oracle_from_file(
-    path: str, delta: Optional[int]
-) -> Tuple[ViolationOracle, str]:
-    """Build the violation oracle for any supported instance file."""
-    kind, obj = _load(path)
-    if kind == "explicit":
-        space: ExplicitViolatorSpace = obj
-        if space.n > EXHAUSTIVE_WARN_N:
-            sys.stderr.write(
-                f"warning: exhaustive axiom check over n={space.n} subsets is slow\n"
-            )
-        witness = space.check_axioms()
+def _validate(kind: str, obj) -> None:
+    """Check a loaded file the way its kind calls for; a failure raises
+    CheckFailed with the witness.  Concrete problems and geometric
+    instances are valid by construction."""
+    if kind == "explicit" and obj.n > EXHAUSTIVE_WARN_N:
+        sys.stderr.write(
+            f"warning: exhaustive axiom check over n={obj.n} subsets is slow\n"
+        )
+    if kind in ("explicit", "abstract"):
+        witness = obj.check_axioms()
         if witness is not None:
-            raise CheckFailed(witness.describe(space.names))
-        return space.oracle(delta=delta), kind
-    if kind in VALUE_TABLE_KINDS:
-        return _violator_table(kind, obj).oracle(delta=delta), kind
-    if kind == "uso":
+            raise CheckFailed(witness.describe(obj.names))
+    elif kind == "uso":
         u, names = obj
         witness = validate_uso(u)
         if witness is not None:
             raise CheckFailed(
                 f"subgrid {witness.G.label(names)} has {len(witness.sinks)} sinks"
             )
-        oracle = uso_oracle(u, names=names)
-        if delta is not None:
-            oracle.delta = delta
-        return oracle, kind
-    if kind == "points":
-        ps, names = obj
-        oracle = miniball_oracle(ps, names=names)
-        if delta is not None:
-            oracle.delta = delta
-        return oracle, kind
-    if kind == "halfplanes":
-        lp, names = obj
-        oracle = lp2d_oracle(lp, names=names)
-        if delta is not None:
-            oracle.delta = delta
-        return oracle, kind
-    raise ParseError(f"{path}: unsupported file kind {kind}")
 
 
-def _violator_table(kind: str, obj) -> ExplicitViolatorSpace:
-    """The induced violator table of an abstract or concrete value table."""
+def _open(path: str):
+    """Parse an instance file once and validate it: every command's input."""
+    kind, obj = load_path(path)
+    _validate(kind, obj)
+    return kind, obj
+
+
+def _table(kind: str, obj) -> Optional[ExplicitViolatorSpace]:
+    """The checked violator table of a table file; None for live instances."""
+    if kind == "explicit":
+        return obj
     if kind == "abstract":
-        witness = obj.check_axioms()
-        if witness is not None:
-            raise CheckFailed(witness.describe(obj.names))
         return obj.violator_map()
-    return obj.to_abstract().violator_map()
+    if kind == "concrete":
+        return obj.to_abstract().violator_map()
+    return None
 
 
-class CheckFailed(Exception):
-    """An input failed its axiom or USO validation; carries the witness."""
+def _oracle(kind: str, obj, delta: Optional[int]) -> ViolationOracle:
+    """The violation oracle of an opened file, with --delta applied."""
+    space = _table(kind, obj)
+    if space is not None:
+        return space.oracle(delta=delta)
+    instance, names = obj
+    if kind == "uso":
+        oracle = uso_oracle(instance, names=names)
+    elif kind == "points":
+        oracle = miniball_oracle(instance, names=names)
+    else:
+        oracle = lp2d_oracle(instance, names=names)
+    if delta is not None:
+        oracle.delta = delta
+    return oracle
 
 
 # -- check -------------------------------------------------------------
 
 
 def cmd_check(args) -> int:
+    """Validate a file.  A witness is this command's result, so unlike
+    every other command it goes to stdout."""
     try:
-        kind, obj = _load(args.path)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+        kind, obj = _open(args.path)
+        if kind in ("points", "halfplanes"):
+            oracle = _oracle(kind, obj, None)
+            if oracle.n > STRUCTURE_MAX_N:
+                print(f"ok: parsed {kind} instance with n={oracle.n}"
+                      " (too large to tabulate)")
+                return EXIT_OK
+            _validate("explicit", tabulate(oracle))
     except EdgeConsistencyError as exc:
         print(f"edge consistency violated: {exc}")
         return EXIT_WITNESS
+    except CheckFailed as exc:
+        print(exc)
+        return EXIT_WITNESS
 
     if kind == "explicit":
-        if obj.n > EXHAUSTIVE_WARN_N:
-            sys.stderr.write(
-                f"warning: exhaustive axiom check over n={obj.n} subsets is slow\n"
-            )
-        witness = obj.check_axioms()
-        if witness is None:
-            print(f"ok: violator space over n={obj.n} satisfies both axioms")
-            return EXIT_OK
-        print(witness.describe(obj.names))
-        return EXIT_WITNESS
-    if kind == "abstract":
-        witness = obj.check_axioms()
-        if witness is None:
-            print(f"ok: value table over n={obj.n} is monotone and local")
-            return EXIT_OK
-        print(witness.describe(obj.names))
-        return EXIT_WITNESS
-    if kind == "concrete":
+        print(f"ok: violator space over n={obj.n} satisfies both axioms")
+    elif kind == "abstract":
+        print(f"ok: value table over n={obj.n} is monotone and local")
+    elif kind == "concrete":
         obj.to_abstract()
         print(
             f"ok: concrete problem with {len(obj.points)} points and"
             f" {obj.n} constraints"
         )
-        return EXIT_OK
-    if kind == "uso":
-        u, names = obj
-        witness = validate_uso(u)
-        if witness is None:
-            print(f"ok: unique-sink orientation over n={u.n}, {u.delta} blocks")
-            return EXIT_OK
-        print(
-            f"subgrid {witness.G.label(names)} has {len(witness.sinks)} sinks"
-        )
-        return EXIT_WITNESS
-    # live geometric instances: tabulate when small enough, then check
-    oracle, _ = _oracle_from_file(args.path, None)
-    if oracle.n > STRUCTURE_MAX_N:
-        print(f"ok: parsed {kind} instance with n={oracle.n} (too large to tabulate)")
-        return EXIT_OK
-    space = tabulate(oracle)
-    witness = space.check_axioms()
-    if witness is None:
+    elif kind == "uso":
+        u, _ = obj
+        print(f"ok: unique-sink orientation over n={u.n}, {u.delta} blocks")
+    else:
         print(f"ok: tabulated {kind} instance over n={oracle.n} satisfies both axioms")
-        return EXIT_OK
-    print(witness.describe(oracle.names))
-    return EXIT_WITNESS
+    return EXIT_OK
 
 
 # -- solve -------------------------------------------------------------
@@ -208,12 +188,7 @@ def _run_algorithm(
 ) -> Tuple[ConstraintSet, SolveStats]:
     G = oracle.ground_set()
     if algo == "trivial":
-        stats = SolveStats(rng_seed=rng.seed)
-        before = oracle.primitive_calls
-        stats.trivial_calls = 1
-        basis = trivial_basis(oracle, G)
-        stats.primitive_calls = oracle.primitive_calls - before
-        return basis, stats
+        return trivial(oracle, G, rng)
     if algo == "clarkson1" or algo == "auto":
         return basis1(oracle, G, rng)
     if algo == "clarkson2":
@@ -222,19 +197,12 @@ def _run_algorithm(
 
 
 def cmd_solve(args) -> int:
-    try:
-        oracle, kind = _oracle_from_file(args.path, args.delta)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except (CheckFailed, EdgeConsistencyError) as exc:
-        sys.stderr.write(f"error: input failed validation: {exc}\n")
-        return EXIT_WITNESS
-
+    kind, obj = _open(args.path)
+    oracle = _oracle(kind, obj, args.delta)
     rng = Rng(args.seed)
     try:
         basis, stats = _run_algorithm(oracle, args.algo, rng)
-    except (NoBasisFound, IterationGuardExceeded, WeightOverflow) as exc:
+    except (NoBasisFound, IterationGuardExceeded) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_SOLVER
 
@@ -247,7 +215,7 @@ def cmd_solve(args) -> int:
         "algorithm": args.algo,
         "seed": args.seed,
         "basis": [names[h] for h in basis],
-        "stats": stats.as_dict(),
+        "stats": asdict(stats),
     }
     if hasattr(oracle, "edge_evals"):
         payload["edge_evals"] = oracle.edge_evals
@@ -260,7 +228,7 @@ def cmd_solve(args) -> int:
         f"seed: {args.seed}",
         f"basis: {{{', '.join(payload['basis'])}}}",
     ]
-    for key, value in stats.as_dict().items():
+    for key, value in payload["stats"].items():
         if key != "rng_seed":
             lines.append(f"{key}: {value}")
     if "edge_evals" in payload:
@@ -273,41 +241,20 @@ def cmd_solve(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    try:
-        kind, obj = _load(args.path)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except EdgeConsistencyError as exc:
-        sys.stderr.write(f"error: input failed validation: {exc}\n")
-        return EXIT_WITNESS
-
-    if kind == "explicit":
-        space = obj
-    else:
-        space = None
-        try:
-            if kind in VALUE_TABLE_KINDS:
-                space = _violator_table(kind, obj)
-            else:
-                oracle, _ = _oracle_from_file(args.path, None)
-        except (CheckFailed, EdgeConsistencyError) as exc:
-            sys.stderr.write(f"error: input failed validation: {exc}\n")
-            return EXIT_WITNESS
-        n = oracle.n if space is None else space.n
-        if n > STRUCTURE_MAX_N:
-            sys.stderr.write(
-                f"error: structure needs a table; n={n} exceeds"
-                f" the n <= {STRUCTURE_MAX_N} tabulation guard\n"
-            )
-            return EXIT_SIZE
-        if space is None:
-            space = tabulate(oracle)
-
-    witness = space.check_axioms()
-    if witness is not None:
-        print(witness.describe(space.names))
-        return EXIT_WITNESS
+    kind, obj = _open(args.path)
+    space = _table(kind, obj)
+    oracle = _oracle(kind, obj, None) if space is None else None
+    n = space.n if oracle is None else oracle.n
+    # an explicit file is a table already; only derived tables are guarded
+    if kind != "explicit" and n > STRUCTURE_MAX_N:
+        sys.stderr.write(
+            f"error: structure needs a table; n={n} exceeds"
+            f" the n <= {STRUCTURE_MAX_N} tabulation guard\n"
+        )
+        return EXIT_SIZE
+    if oracle is not None:
+        space = tabulate(oracle)
+        _validate("explicit", space)
     st = space.structure()
     names = space.names
     labels = st.class_labels()
@@ -378,37 +325,23 @@ def cmd_uso(args) -> int:
             else:
                 try:
                     u = random_uso(partition, Rng(args.seed))
-                except ValueError as exc:
-                    sys.stderr.write(f"error: {exc}\n")
-                    return EXIT_SIZE
                 except GenerationExhausted as exc:
                     sys.stderr.write(f"error: {exc}\n")
                     return EXIT_SOLVER
         _emit_json(uso_to_dict(u), args.out)
         return EXIT_OK
 
-    # tabulate
-    try:
-        kind, obj = _load(args.path)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except EdgeConsistencyError as exc:
-        sys.stderr.write(f"error: input failed validation: {exc}\n")
-        return EXIT_WITNESS
+    # tabulate: reject other kinds before validating anything
+    kind, obj = load_path(args.path)
     if kind != "uso":
         sys.stderr.write(f"error: {args.path} is not a USO file\n")
         return EXIT_PARSE
+    _validate(kind, obj)
     u, names = obj
-    witness = validate_uso(u)
-    if witness is not None:
-        print(f"subgrid {witness.G.label(names)} has {len(witness.sinks)} sinks")
-        return EXIT_WITNESS
     if u.n > STRUCTURE_MAX_N:
         sys.stderr.write(f"error: n={u.n} exceeds the tabulation guard\n")
         return EXIT_SIZE
     space = tabulate(uso_oracle(u, names=names))
-    space.check_axioms()
     _emit_json(explicit_to_dict(space), args.out)
     return EXIT_OK
 
@@ -465,15 +398,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sampling(args) -> int:
-    try:
-        oracle, kind = _oracle_from_file(args.path, args.delta)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except (CheckFailed, EdgeConsistencyError) as exc:
-        sys.stderr.write(f"error: input failed validation: {exc}\n")
-        return EXIT_WITNESS
-
+    kind, obj = _open(args.path)
+    oracle = _oracle(kind, obj, args.delta)
     W = ConstraintSet.empty(oracle.n)
     if args.w:
         index = {name: i for i, name in enumerate(oracle.names)}
@@ -488,7 +414,7 @@ def cmd_sampling(args) -> int:
         return EXIT_PARSE
     report = sampling_check(oracle, W, args.r, args.trials, Rng(args.seed))
     payload = {"instance": args.path, "kind": kind, "n": oracle.n,
-               "delta": oracle.delta, **report.as_dict()}
+               "delta": oracle.delta, **asdict(report)}
     if args.format == "json":
         _emit_json(payload, args.out)
         return EXIT_OK
@@ -670,6 +596,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
+    except (CheckFailed, EdgeConsistencyError) as exc:
+        sys.stderr.write(f"error: input failed validation: {exc}\n")
+        return EXIT_WITNESS
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SIZE

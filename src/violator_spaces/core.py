@@ -217,14 +217,3 @@ class SolveStats:
     loop_iterations: int = 0
     w_augmentations: int = 0
     reweight_iterations: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "rng_seed": self.rng_seed,
-            "primitive_calls": self.primitive_calls,
-            "basis2_calls": self.basis2_calls,
-            "trivial_calls": self.trivial_calls,
-            "loop_iterations": self.loop_iterations,
-            "w_augmentations": self.w_augmentations,
-            "reweight_iterations": self.reweight_iterations,
-        }

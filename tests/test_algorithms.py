@@ -10,7 +10,6 @@ from violator_spaces import (
     NoBasisFound,
     Rng,
     ViolationOracle,
-    WeightOverflow,
     WeightedGroundSet,
     basis1,
     basis2,
@@ -67,11 +66,15 @@ def test_weighted_support_collapses_duplicates():
         assert 1 <= len(support) <= 3
 
 
-def test_weighted_ground_set_overflow():
-    w = WeightedGroundSet({0: 1})
-    with pytest.raises(WeightOverflow):
-        for _ in range(130):
-            w.double([0])
+def test_weighted_ground_set_doubles_without_a_cap():
+    # 3*delta*ln|G| doublings exceed 128 bits for large delta; ints are unbounded
+    w = WeightedGroundSet({0: 1, 1: 1})
+    for _ in range(200):
+        w.double([0])
+    assert w.weights == {0: 2**200, 1: 1}
+    assert w.total == 2**200 + 1
+    with pytest.raises(ValueError):
+        WeightedGroundSet({0: 0})
 
 
 # -- trivial basis -----------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from violator_spaces.cli import main
+from violator_spaces.fileio import load_path
 
 from conftest import FIXTURES
 
@@ -356,3 +357,103 @@ def test_byte_identical_reruns(capsys, argv):
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# -- one load path -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (command, fixture)
+        for fixture in ("square.csv", "lp_figure4.csv", "cyclic_cube_uso.json")
+        for command in ("check", "structure", "solve")
+    ]
+    + [
+        ("sampling", "square.csv", "--r", "1", "--trials", "5"),
+        ("uso", "tabulate", "cyclic_cube_uso.json"),
+    ],
+    ids=" ".join,
+)
+def test_each_command_parses_its_input_once(capsys, monkeypatch, argv):
+    import violator_spaces.cli as cli
+
+    parsed = []
+
+    def counting_load_path(path):
+        parsed.append(path)
+        return load_path(path)
+
+    monkeypatch.setattr(cli, "load_path", counting_load_path)
+    words = [str(FIXTURES / a) if a.endswith((".csv", ".json")) else a for a in argv]
+    code, _, _ = run_cli(capsys, *words)
+    assert code == 0
+    assert parsed == [w for w in words if w.startswith(str(FIXTURES))]
+
+
+def _invalid_inputs(tmp_path):
+    """One file per way an input can fail to load or validate."""
+    from violator_spaces.fileio import abstract_to_dict
+    from conftest import square_space
+
+    abstract = abstract_to_dict(square_space().to_concrete().to_abstract())
+    abstract["values"][",".join(abstract["names"])] = abstract["order"][0]
+    docs = {
+        "explicit": json.dumps({"names": ["x"], "violators": {"": [], "x": ["x"]}}),
+        "abstract": json.dumps(abstract),
+        "two_sinks": json.dumps({
+            "blocks": [["1", "2"], ["3", "4"]],
+            "outmap": {"1,3": [], "2,4": [], "2,3": ["1", "4"], "1,4": ["2", "3"]},
+        }),
+        "edges": json.dumps({
+            "blocks": [["1", "2"], ["3", "4"]],
+            "outmap": {"1,3": [], "2,4": ["1"], "2,3": ["1"], "1,4": ["3"]},
+        }),
+        "malformed": '{"names": ["x"], "violators": ',
+    }
+    paths = {}
+    for name, text in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    return paths
+
+
+WITNESS = {
+    "explicit": "consistency fails: G=x meets V(G)",
+    "abstract": "monotonicity fails: w(b,c,d) > w(a,b,c,d)",
+    "two_sinks": "subgrid 1,2,3,4 has 2 sinks",
+    "edges": "edge {(1, 2), (1, 3)} is oriented neither way",
+}
+COMMANDS = {
+    "check": ("check", "{path}"),
+    "structure": ("structure", "{path}"),
+    "solve": ("solve", "{path}"),
+    "sampling": ("sampling", "{path}", "--r", "0", "--trials", "1"),
+    "tabulate": ("uso", "tabulate", "{path}"),
+}
+
+
+def _expected(name, command):
+    """(exit code, stream, message) for one invalid input and command."""
+    if name == "malformed":
+        return 2, "err", "error: {path}: invalid JSON at line 1, column 31\n"
+    if command == "tabulate" and name in ("explicit", "abstract"):
+        return 2, "err", "error: {path} is not a USO file\n"
+    if command == "check":
+        prefix = "edge consistency violated: " if name == "edges" else ""
+        return 1, "out", f"{prefix}{WITNESS[name]}\n"
+    return 1, "err", f"error: input failed validation: {WITNESS[name]}\n"
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("name", ["explicit", "abstract", "two_sinks", "edges", "malformed"])
+def test_invalid_input_matrix(capsys, tmp_path, name, command):
+    path = _invalid_inputs(tmp_path)[name]
+    code, out, err = run_cli(
+        capsys, *(a.replace("{path}", str(path)) for a in COMMANDS[command])
+    )
+    want_code, stream, message = _expected(name, command)
+    assert code == want_code
+    assert {"out": out, "err": err} == {
+        "out": "", "err": "", stream: message.replace("{path}", str(path))
+    }
