@@ -242,17 +242,22 @@ def cmd_solve(args) -> int:
 
 def cmd_structure(args) -> int:
     kind, obj = _open(args.path)
-    space = _table(kind, obj)
-    oracle = _oracle(kind, obj, None) if space is None else None
-    n = space.n if oracle is None else oracle.n
-    # an explicit file is a table already; only derived tables are guarded
+    if kind in ("explicit", "abstract", "concrete"):
+        oracle, n = None, obj.n
+    else:
+        oracle = _oracle(kind, obj, None)
+        n = oracle.n
+    # an explicit file is a table already; only derived tables are
+    # guarded, before they are built
     if kind != "explicit" and n > STRUCTURE_MAX_N:
         sys.stderr.write(
             f"error: structure needs a table; n={n} exceeds"
             f" the n <= {STRUCTURE_MAX_N} tabulation guard\n"
         )
         return EXIT_SIZE
-    if oracle is not None:
+    if oracle is None:
+        space = _table(kind, obj)
+    else:
         space = tabulate(oracle)
         _validate("explicit", space)
     st = space.structure()
@@ -262,7 +267,7 @@ def cmd_structure(args) -> int:
     payload = {
         "instance": args.path,
         "n": space.n,
-        "combinatorial_dimension": space.combinatorial_dimension(),
+        "combinatorial_dimension": max(len(b) for b in st.bases),
         "bases": [b.label(names).replace(",", "") or "∅" for b in st.bases],
         "classes": [
             {
@@ -276,7 +281,7 @@ def cmd_structure(args) -> int:
     }
     if st.acyclic:
         payload["linear_extension"] = [labels[i] for i in st.linear_extension]
-        concrete = space.to_concrete()
+        concrete = st.to_concrete()
         payload["s_table"] = {
             name: [concrete.points[p] for p in s]
             for name, s in zip(concrete.names, concrete.constraints)
@@ -311,11 +316,10 @@ def cmd_structure(args) -> int:
 
 def cmd_uso(args) -> int:
     if args.action == "generate":
-        sizes = _parse_sizes(args.blocks)
         if args.kind == "cyclic-cube":
             u = cyclic_cube_uso()
         else:
-            partition = GridPartition.uniform(sizes)
+            partition = GridPartition.uniform(args.blocks)
             if args.kind == "coordinate":
                 rng = Rng(args.seed)
                 rankings = [
@@ -369,9 +373,8 @@ def _uniform_blocks(n: int, delta: int) -> List[int]:
 
 def cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    sizes = _parse_sizes(args.sizes)
     rows = ["n,delta,algo,mean_primitive_calls,mean_loop_iterations,trials,seed"]
-    for n in sizes:
+    for n in args.sizes:
         partition = GridPartition.uniform(_uniform_blocks(n, args.delta))
         for algo in algos:
             total_calls = 0
@@ -484,8 +487,9 @@ def cmd_probe(args) -> int:
         if space is None:
             continue
         valid += 1
-        dim = space.combinatorial_dimension()
-        acyclic = space.structure().acyclic
+        st = space.structure()
+        dim = max(len(b) for b in st.bases)
+        acyclic = st.acyclic
         if not acyclic:
             cyclic_any += 1
         if dim != 2:
@@ -543,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("uso", help="generate or tabulate grid USOs")
     usub = p.add_subparsers(dest="action", required=True)
     pg = usub.add_parser("generate", help="emit a USO as JSON")
-    pg.add_argument("--blocks", default="2,2,2",
+    pg.add_argument("--blocks", type=_parse_sizes, default="2,2,2",
                     help="comma-separated block sizes, e.g. 3,2,2")
     pg.add_argument("--kind", default="coordinate",
                     choices=["coordinate", "random", "cyclic-cube"])
@@ -557,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmark algorithms on grid USOs")
     p.add_argument("--delta", type=_positive_int, default=2)
-    p.add_argument("--sizes", default="64,128,256")
+    p.add_argument("--sizes", type=_parse_sizes, default="64,128,256")
     p.add_argument("--algos", default="clarkson1,clarkson2")
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

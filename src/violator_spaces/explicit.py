@@ -1,11 +1,20 @@
 """Table-backed violator spaces for small ground sets.
 
 Everything here is exhaustive by design: axiom verification walks all
-2^n subsets (locality walks all submask pairs, so O(3^n)), basis
-enumeration and the equivalence-class structure are exact, and the
-conversions between the three equivalent representations (violator
-table, abstract value table, concrete minimum-of-intersection problem)
-are the canonical constructions.
+2^n subsets, basis enumeration and the equivalence-class structure are
+exact, and the conversions between the three equivalent representations
+(violator table, abstract value table, concrete minimum-of-intersection
+problem) are the canonical constructions.
+
+Locality is checked on covering pairs (G minus x, G) only, in
+O(n * 2^n) for both violator and value tables.  Covering pairs suffice:
+let G be the first subset in mask order with a locality witness F.  Its
+proper subsets come earlier, so locality holds inside each of them, and
+for x in G outside F the chain F <= G - x < G forces a covering failure
+(G - x, G); for value tables monotonicity, checked first, makes w(G - x)
+equal w(F) and w(G).  The full submask scan runs only at that first
+failing G, so the witness returned is the one the scan over all submask
+pairs would return first.
 
 The ground-set size is capped at 24 table entries-wise; exhaustive
 checks get slow in practice above n = 16, which is where the CLI warns.
@@ -91,6 +100,12 @@ def _default_names(n: int) -> List[str]:
     return [f"h{i}" for i in range(n)]
 
 
+def check_table_size(kind: str, n: int) -> None:
+    """Reject a table over n elements before 2^n entries are built."""
+    if not 0 <= n <= MAX_TABLE_N:
+        raise ValueError(f"{kind} tables support 0 <= n <= {MAX_TABLE_N}")
+
+
 class ExplicitViolatorSpace:
     """Full table G -> V(G) over all 2^n subsets of {0..n-1}."""
 
@@ -101,8 +116,7 @@ class ExplicitViolatorSpace:
         names: Optional[Sequence[str]] = None,
         checked: bool = False,
     ):
-        if not 0 <= n <= MAX_TABLE_N:
-            raise ValueError(f"explicit tables support 0 <= n <= {MAX_TABLE_N}")
+        check_table_size("explicit", n)
         size = 1 << n
         if len(table) != size:
             raise ValueError(f"table must have {size} entries, got {len(table)}")
@@ -138,7 +152,8 @@ class ExplicitViolatorSpace:
 
         Returns None and marks the space checked on success, otherwise the
         first witness found (subsets scanned in mask order, submasks in
-        decreasing-mask order).
+        decreasing-mask order).  Locality is tested on covering pairs and
+        the submask scan runs only where one fails (module docstring).
         """
         table = self._table
         n = self.n
@@ -148,18 +163,27 @@ class ExplicitViolatorSpace:
                 return AxiomWitness(
                     "consistency", ConstraintSet(g, n), ConstraintSet(g, n)
                 )
-            # proper submasks F of g with g disjoint from V(F)
-            f = (g - 1) & g
-            while True:
-                if g & table[f] == 0 and table[f] != vg:
-                    return AxiomWitness(
-                        "locality", ConstraintSet(f, n), ConstraintSet(g, n)
-                    )
-                if f == 0:
-                    break
-                f = (f - 1) & g
+            m = g
+            while m:
+                low = m & -m
+                vf = table[g ^ low]
+                if g & vf == 0 and vf != vg:
+                    return self._locality_witness(g)
+                m ^= low
         self._checked = True
         return None
+
+    def _locality_witness(self, g: int) -> AxiomWitness:
+        """First submask F of g, in decreasing-mask order, with g disjoint
+        from V(F) but V(F) != V(g); g must have a failing covering pair."""
+        table = self._table
+        vg = table[g]
+        f = (g - 1) & g
+        while g & table[f] or table[f] == vg:
+            f = (f - 1) & g
+        return AxiomWitness(
+            "locality", ConstraintSet(f, self.n), ConstraintSet(g, self.n)
+        )
 
     # -- bases --------------------------------------------------------
 
@@ -295,30 +319,9 @@ class ExplicitViolatorSpace:
     # -- conversions --------------------------------------------------
 
     def to_concrete(self) -> "ConcreteLpProblem":
-        """Concrete representation over basis-equivalence classes.
-
-        Point p carries the classes ordered by the linear extension; the
-        constraint for h collects the classes whose bases h does not
-        violate.  Only defined for acyclic spaces.
-        """
-        self._require_checked()
-        st = self.structure()
-        if not st.acyclic:
-            raise CyclicSpaceError("cyclic violator space has no concrete form")
-        assert st.linear_extension is not None
-        ordered = [st.classes[i] for i in st.linear_extension]
-        points = [cls.display_label(self.names) for cls in ordered]
-        constraints = []
-        for h in range(self.n):
-            s_h = tuple(
-                pos
-                for pos, cls in enumerate(ordered)
-                if not (cls.violators.mask >> h) & 1
-            )
-            constraints.append(s_h)
-        return ConcreteLpProblem(
-            points=points, constraints=constraints, names=list(self.names)
-        )
+        """Concrete representation over basis-equivalence classes; see
+        BasisStructure.to_concrete."""
+        return self.structure().to_concrete()
 
     def oracle(self, delta: Optional[int] = None) -> "TableOracle":
         """Violation oracle backed by this table.
@@ -392,6 +395,31 @@ class BasisStructure:
     def class_labels(self) -> List[str]:
         return [cls.display_label(self.space.names) for cls in self.classes]
 
+    def to_concrete(self) -> "ConcreteLpProblem":
+        """Concrete representation over basis-equivalence classes.
+
+        Point p carries the classes ordered by the linear extension; the
+        constraint for h collects the classes whose bases h does not
+        violate.  Only defined for acyclic spaces.
+        """
+        if not self.acyclic:
+            raise CyclicSpaceError("cyclic violator space has no concrete form")
+        assert self.linear_extension is not None
+        names = self.space.names
+        ordered = [self.classes[i] for i in self.linear_extension]
+        points = [cls.display_label(names) for cls in ordered]
+        constraints = []
+        for h in range(self.space.n):
+            s_h = tuple(
+                pos
+                for pos, cls in enumerate(ordered)
+                if not (cls.violators.mask >> h) & 1
+            )
+            constraints.append(s_h)
+        return ConcreteLpProblem(
+            points=points, constraints=constraints, names=list(names)
+        )
+
 
 def _linear_extension(k: int, leq0: set) -> List[int]:
     """Kahn's algorithm; ties go to the lowest class index, and classes
@@ -462,8 +490,7 @@ class AbstractLpTable:
         names: Optional[Sequence[str]] = None,
         checked: bool = False,
     ):
-        if not 0 <= n <= MAX_TABLE_N:
-            raise ValueError(f"abstract tables support 0 <= n <= {MAX_TABLE_N}")
+        check_table_size("abstract", n)
         size = 1 << n
         if len(values) != size:
             raise ValueError(f"need {size} values, got {len(values)}")
@@ -494,7 +521,10 @@ class AbstractLpTable:
         """Verify monotonicity and locality exhaustively.
 
         Monotonicity is checked on covering pairs, which implies it for
-        all nested pairs by transitivity of the token order.
+        all nested pairs by transitivity of the token order.  Locality is
+        tested on covering pairs too, and the first witness (subsets in
+        mask order, F in decreasing-mask order, h ascending) is searched
+        only where one fails (module docstring).
         """
         r = self._ranks
         n = self.n
@@ -507,28 +537,54 @@ class AbstractLpTable:
                         "monotonicity", ConstraintSet(g ^ low, n), ConstraintSet(g, n)
                     )
                 m ^= low
+        # up[g]: the h outside g with w(g + h) > w(g).  On a monotone
+        # table, h outside g with w(g + h) == w(g) is exactly h outside
+        # g and outside up[g].
+        full = (1 << n) - 1
+        up = [0] * (1 << n)
         for g in range(1 << n):
             rg = r[g]
-            outside = ~g & ((1 << n) - 1)
-            f = (g - 1) & g
-            while True:
-                if r[f] == rg:
-                    m = outside
-                    while m:
-                        low = m & -m
-                        if r[g | low] > rg and r[f | low] == r[f]:
-                            return AbstractAxiomWitness(
-                                "locality",
-                                ConstraintSet(f, n),
-                                ConstraintSet(g, n),
-                                low.bit_length() - 1,
-                            )
-                        m ^= low
-                if f == 0:
-                    break
-                f = (f - 1) & g
+            u = 0
+            m = full & ~g
+            while m:
+                low = m & -m
+                if r[g | low] > rg:
+                    u |= low
+                m ^= low
+            up[g] = u
+            m = g
+            while m:
+                low = m & -m
+                f = g ^ low
+                if r[f] == rg and u & ~up[f]:
+                    return self._locality_witness(g)
+                m ^= low
         self._checked = True
         return None
+
+    def _locality_witness(self, g: int) -> AbstractAxiomWitness:
+        """First (F, h), F a submask of g in decreasing-mask order and h
+        outside g ascending, with w(F) == w(g) and h raising w(g) but not
+        w(F); g must have a failing covering pair."""
+        r = self._ranks
+        n = self.n
+        rg = r[g]
+        outside = ~g & ((1 << n) - 1)
+        f = (g - 1) & g
+        while True:
+            if r[f] == rg:
+                m = outside
+                while m:
+                    low = m & -m
+                    if r[g | low] > rg and r[f | low] == r[f]:
+                        return AbstractAxiomWitness(
+                            "locality",
+                            ConstraintSet(f, n),
+                            ConstraintSet(g, n),
+                            low.bit_length() - 1,
+                        )
+                    m ^= low
+            f = (f - 1) & g
 
     def violator_map(self) -> ExplicitViolatorSpace:
         """The induced violator table: h violates G iff adding h raises w.

@@ -29,6 +29,7 @@ from .explicit import (
     AbstractLpTable,
     ConcreteLpProblem,
     ExplicitViolatorSpace,
+    check_table_size,
 )
 from .grid_uso import GridPartition, GridUso
 from .instances import HalfplaneLp, PointSet
@@ -76,6 +77,7 @@ def _load_names(doc: dict) -> List[str]:
 def explicit_from_dict(doc: dict) -> ExplicitViolatorSpace:
     names = _load_names(doc)
     n = len(names)
+    check_table_size("explicit", n)
     index = {name: i for i, name in enumerate(names)}
     if len(index) != n:
         raise ParseError("names must be unique")
@@ -118,6 +120,7 @@ def explicit_to_dict(space: ExplicitViolatorSpace) -> dict:
 def abstract_from_dict(doc: dict) -> AbstractLpTable:
     names = _load_names(doc)
     n = len(names)
+    check_table_size("abstract", n)
     index = {name: i for i, name in enumerate(names)}
     values = doc.get("values")
     order = doc.get("order")

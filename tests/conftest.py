@@ -38,16 +38,20 @@ def square_space() -> ExplicitViolatorSpace:
     return space
 
 
-def random_concrete_space(rnd: random.Random, n: int) -> ExplicitViolatorSpace:
-    """Random acyclic space: random subsets of a small ordered point list,
-    run through the minimum-of-intersection construction."""
+def random_concrete_problem(rnd: random.Random, n: int) -> ConcreteLpProblem:
+    """n random subsets of a small ordered point list."""
     m = rnd.randint(1, 6)
     constraints = [
         [i for i in range(m) if (mask >> i) & 1]
         for mask in (rnd.getrandbits(m) for _ in range(n))
     ]
-    problem = ConcreteLpProblem([f"x{i}" for i in range(m)], constraints)
-    space = problem.to_abstract().violator_map()
+    return ConcreteLpProblem([f"x{i}" for i in range(m)], constraints)
+
+
+def random_concrete_space(rnd: random.Random, n: int) -> ExplicitViolatorSpace:
+    """Random acyclic space: a random concrete problem run through the
+    minimum-of-intersection construction."""
+    space = random_concrete_problem(rnd, n).to_abstract().violator_map()
     assert space.checked
     return space
 

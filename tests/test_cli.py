@@ -1,7 +1,10 @@
 import json
+import random
+import time
 
 import pytest
 
+from violator_spaces import ConcreteLpProblem
 from violator_spaces.cli import main
 from violator_spaces.fileio import load_path
 
@@ -158,6 +161,54 @@ def test_structure_size_guard(capsys, tmp_path):
     assert code == 4
 
 
+def _concrete_17(tmp_path):
+    rnd = random.Random(17)
+    constraints = [[p for p in range(6) if rnd.random() < 0.6] for _ in range(17)]
+    path = tmp_path / "concrete17.json"
+    path.write_text(json.dumps({
+        "points": [f"x{p}" for p in range(6)], "constraints": constraints,
+    }))
+    return path
+
+
+def test_check_concrete_file_past_the_structure_guard(capsys, tmp_path):
+    path = _concrete_17(tmp_path)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "check", path)
+    assert time.perf_counter() - start < 20.0
+    assert code == 0
+    assert out == "ok: concrete problem with 6 points and 17 constraints\n"
+
+
+def test_structure_guard_runs_before_the_table_is_built(
+    capsys, tmp_path, monkeypatch
+):
+    def no_table(self):
+        raise AssertionError("structure built a table past its size guard")
+
+    monkeypatch.setattr(ConcreteLpProblem, "to_abstract", no_table)
+    code, _, err = run_cli(capsys, "structure", _concrete_17(tmp_path))
+    assert code == 4
+    assert err == (
+        "error: structure needs a table; n=17 exceeds"
+        " the n <= 16 tabulation guard\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["explicit", "abstract"])
+def test_table_file_past_the_size_cap_exits_four(capsys, tmp_path, kind):
+    names = [f"h{i}" for i in range(25)]
+    if kind == "explicit":
+        doc = {"names": names, "violators": {}}
+    else:
+        doc = {"names": names, "values": {}, "order": []}
+    path = tmp_path / f"{kind}25.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "check", path)
+    assert (code, out) == (4, "")
+    assert err == f"error: {kind} tables support 0 <= n <= 24\n"
+
+
 @pytest.mark.parametrize("kind", ["concrete", "abstract"])
 def test_structure_on_value_table_uses_its_violator_table(
     capsys, tmp_path, monkeypatch, kind
@@ -244,6 +295,17 @@ def test_bench_csv_shape_and_delegation(capsys):
         by_algo.setdefault(n, {})[algo] = (calls, iters)
     for n, cols in by_algo.items():
         assert cols["clarkson1"] == cols["clarkson2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["uso", "generate", "--blocks", "x"],
+    ["bench", "--sizes", "0"],
+])
+def test_bad_size_list_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "bad size list" in capsys.readouterr().err
 
 
 # -- sampling ----------------------------------------------------------------

@@ -15,6 +15,7 @@ from conftest import (
     all_bases_of,
     brute_is_basis,
     cyclic3_space,
+    random_concrete_problem,
     random_concrete_space,
     random_uso_space,
     square_space,
@@ -175,6 +176,104 @@ def test_violator_map_is_basis_equivalent_to_table():
                 if not any(c != b and c & ~b == 0 for c in same_w)
             )
             assert minimal_w == all_bases_of(space, g)
+
+
+# -- covering-pair checks against the full submask scan -----------------
+
+
+def _reference_explicit_witness(n, table):
+    """Consistency and locality over every submask pair, O(3^n): the first
+    witness with G in mask order and F in decreasing-mask order."""
+    for g in range(1 << n):
+        vg = table[g]
+        if g & vg:
+            return ("consistency", g, g, None)
+        f = (g - 1) & g
+        while True:
+            if g & table[f] == 0 and table[f] != vg:
+                return ("locality", f, g, None)
+            if f == 0:
+                break
+            f = (f - 1) & g
+    return None
+
+
+def _reference_abstract_witness(n, r):
+    """Monotonicity on covering pairs, then locality over every submask
+    pair: G in mask order, F decreasing, h ascending."""
+    for g in range(1 << n):
+        for x in range(n):
+            if (g >> x) & 1 and r[g ^ (1 << x)] > r[g]:
+                return ("monotonicity", g ^ (1 << x), g, None)
+    for g in range(1 << n):
+        f = (g - 1) & g
+        while True:
+            if r[f] == r[g]:
+                for h in range(n):
+                    if (
+                        not (g >> h) & 1
+                        and r[g | 1 << h] > r[g]
+                        and r[f | 1 << h] == r[f]
+                    ):
+                        return ("locality", f, g, h)
+            if f == 0:
+                break
+            f = (f - 1) & g
+    return None
+
+
+def _witness_key(witness):
+    if witness is None:
+        return None
+    return (witness.axiom, witness.F.mask, witness.G.mask, getattr(witness, "h", None))
+
+
+def test_explicit_check_returns_the_full_scan_witness():
+    rnd = random.Random(5)
+    kinds = {}
+    for _ in range(600):
+        n = rnd.randint(1, 8)
+        valid = random_concrete_space(rnd, n)
+        table = [valid.violator_mask(g) for g in range(1 << n)]
+        flipped = list(table)
+        for _ in range(rnd.randint(1, 3)):
+            flipped[rnd.randrange(1 << n)] ^= 1 << rnd.randrange(n)
+        consistent = [rnd.getrandbits(n) & ~g for g in range(1 << n)]
+        for t in (table, flipped, consistent):
+            space = ExplicitViolatorSpace(n, t)
+            expected = _reference_explicit_witness(n, t)
+            assert _witness_key(space.check_axioms()) == expected
+            assert space.checked == (expected is None)
+            kind = expected[0] if expected else "valid"
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.get(k, 0) for k in ("valid", "consistency", "locality")) >= 100
+
+
+def test_abstract_check_returns_the_full_scan_witness():
+    rnd = random.Random(6)
+    kinds = {}
+    for _ in range(500):
+        n = rnd.randint(1, 8)
+        valid = random_concrete_problem(rnd, n).to_abstract()
+        order = valid.order
+        flipped = list(valid.values)
+        for _ in range(rnd.randint(1, 3)):
+            flipped[rnd.randrange(1 << n)] = rnd.choice(order)
+        # monotone by construction, so locality is what fails
+        ranks = [0] * (1 << n)
+        for g in range(1, 1 << n):
+            ranks[g] = max(ranks[g ^ (1 << x)] for x in range(n) if (g >> x) & 1)
+            ranks[g] += rnd.random() < 0.3
+        monotone = [order[min(k, len(order) - 1)] for k in ranks]
+        random_values = [rnd.choice(order) for _ in range(1 << n)]
+        for values in (valid.values, flipped, monotone, random_values):
+            t = AbstractLpTable(n, values, order)
+            expected = _reference_abstract_witness(n, [order.index(v) for v in values])
+            assert _witness_key(t.check_axioms()) == expected
+            assert t.checked == (expected is None)
+            kind = expected[0] if expected else "valid"
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.get(k, 0) for k in ("valid", "monotonicity", "locality")) >= 100
 
 
 # -- bases -------------------------------------------------------------
