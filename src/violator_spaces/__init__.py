@@ -34,8 +34,6 @@ from .instances import (
     MiniballOracle,
     PointSet,
     UnboundedProblem,
-    lp2d_oracle,
-    miniball_oracle,
     smallest_enclosing_ball,
     tabulate,
 )

@@ -31,7 +31,9 @@ from .algorithms import (
     trivial,
 )
 from .core import ConstraintSet, SolveStats, ViolationOracle
-from .explicit import EXHAUSTIVE_WARN_N, ExplicitViolatorSpace
+from .explicit import (
+    EXHAUSTIVE_WARN_N, ExplicitViolatorSpace, check_table_size, tabulate_oracle,
+)
 from .fileio import (
     ParseError,
     explicit_to_dict,
@@ -49,10 +51,9 @@ from .grid_uso import (
     uso_oracle,
     validate_uso,
 )
-from .instances import lp2d_oracle, miniball_oracle, tabulate
+from .instances import Lp2dOracle, MiniballOracle
 
 DEFAULT_SEED = 1729
-STRUCTURE_MAX_N = 16
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -132,9 +133,9 @@ def _oracle(kind: str, obj, delta: Optional[int]) -> ViolationOracle:
     if kind == "uso":
         oracle = uso_oracle(instance, names=names)
     elif kind == "points":
-        oracle = miniball_oracle(instance, names=names)
+        oracle = MiniballOracle(instance, names=names)
     else:
-        oracle = lp2d_oracle(instance, names=names)
+        oracle = Lp2dOracle(instance, names=names)
     if delta is not None:
         oracle.delta = delta
     return oracle
@@ -150,11 +151,11 @@ def cmd_check(args) -> int:
         kind, obj = _open(args.path)
         if kind in ("points", "halfplanes"):
             oracle = _oracle(kind, obj, None)
-            if oracle.n > STRUCTURE_MAX_N:
+            if oracle.n > EXHAUSTIVE_WARN_N:
                 print(f"ok: parsed {kind} instance with n={oracle.n}"
                       " (too large to tabulate)")
                 return EXIT_OK
-            _validate("explicit", tabulate(oracle))
+            _validate("explicit", tabulate_oracle(oracle))
     except EdgeConsistencyError as exc:
         print(f"edge consistency violated: {exc}")
         return EXIT_WITNESS
@@ -249,16 +250,16 @@ def cmd_structure(args) -> int:
         n = oracle.n
     # an explicit file is a table already; only derived tables are
     # guarded, before they are built
-    if kind != "explicit" and n > STRUCTURE_MAX_N:
+    if kind != "explicit" and n > EXHAUSTIVE_WARN_N:
         sys.stderr.write(
             f"error: structure needs a table; n={n} exceeds"
-            f" the n <= {STRUCTURE_MAX_N} tabulation guard\n"
+            f" the n <= {EXHAUSTIVE_WARN_N} tabulation guard\n"
         )
         return EXIT_SIZE
     if oracle is None:
         space = _table(kind, obj)
     else:
-        space = tabulate(oracle)
+        space = tabulate_oracle(oracle)
         _validate("explicit", space)
     st = space.structure()
     names = space.names
@@ -342,10 +343,10 @@ def cmd_uso(args) -> int:
         return EXIT_PARSE
     _validate(kind, obj)
     u, names = obj
-    if u.n > STRUCTURE_MAX_N:
+    if u.n > EXHAUSTIVE_WARN_N:
         sys.stderr.write(f"error: n={u.n} exceeds the tabulation guard\n")
         return EXIT_SIZE
-    space = tabulate(uso_oracle(u, names=names))
+    space = tabulate_oracle(uso_oracle(u, names=names))
     _emit_json(explicit_to_dict(space), args.out)
     return EXIT_OK
 
@@ -477,6 +478,7 @@ def cmd_probe(args) -> int:
     Whether one exists is open; the probe reports what it saw and
     claims nothing.  Cyclic spaces of higher dimension do turn up.
     """
+    check_table_size("explicit", args.n)
     rng = Rng(args.seed)
     valid = 0
     dim2 = 0

@@ -187,24 +187,6 @@ class ExplicitViolatorSpace:
 
     # -- bases --------------------------------------------------------
 
-    def is_basis(self, B: ConstraintSet) -> bool:
-        """Basis predicate: every proper subset is violated inside B.
-
-        For a space satisfying the axioms this is equivalent to every
-        element being extreme: removing it changes the violator set.
-        """
-        self._require_checked()
-        table = self._table
-        b = B.mask
-        vb = table[b]
-        m = b
-        while m:
-            low = m & -m
-            if table[b ^ low] == vb:
-                return False
-            m ^= low
-        return True
-
     def enumerate_bases(self) -> List[ConstraintSet]:
         """All bases, ascending by (cardinality, lexicographic members)."""
         self._require_checked()
@@ -385,13 +367,6 @@ class BasisStructure:
     linear_extension: Optional[List[int]] = None
     cycle: Optional[List[int]] = None
 
-    def class_of(self, B: ConstraintSet) -> int:
-        v = self.space.violator_mask(B.mask)
-        for i, cls in enumerate(self.classes):
-            if cls.violators.mask == v and B in cls.members:
-                return i
-        raise ValueError(f"{B!r} is not a basis of this space")
-
     def class_labels(self) -> List[str]:
         return [cls.display_label(self.space.names) for cls in self.classes]
 
@@ -488,7 +463,6 @@ class AbstractLpTable:
         values: Sequence[str],
         order: Sequence[str],
         names: Optional[Sequence[str]] = None,
-        checked: bool = False,
     ):
         check_table_size("abstract", n)
         size = 1 << n
@@ -505,17 +479,15 @@ class AbstractLpTable:
         self.values = list(values)
         self._ranks = [self._rank[tok] for tok in self.values]
         self.names = _check_names(names, n) if names is not None else _default_names(n)
-        self._checked = checked
+        # the violator table, kept by a successful check_axioms
+        self._up: Optional[List[int]] = None
 
     @property
     def checked(self) -> bool:
-        return self._checked
+        return self._up is not None
 
     def value_of(self, G: ConstraintSet) -> str:
         return self.values[G.mask]
-
-    def rank_of(self, G: ConstraintSet) -> int:
-        return self._ranks[G.mask]
 
     def check_axioms(self) -> Optional[AbstractAxiomWitness]:
         """Verify monotonicity and locality exhaustively.
@@ -524,7 +496,8 @@ class AbstractLpTable:
         all nested pairs by transitivity of the token order.  Locality is
         tested on covering pairs too, and the first witness (subsets in
         mask order, F in decreasing-mask order, h ascending) is searched
-        only where one fails (module docstring).
+        only where one fails (module docstring).  On success the up masks
+        it builds are kept as the violator table.
         """
         r = self._ranks
         n = self.n
@@ -559,7 +532,7 @@ class AbstractLpTable:
                 if r[f] == rg and u & ~up[f]:
                     return self._locality_witness(g)
                 m ^= low
-        self._checked = True
+        self._up = up
         return None
 
     def _locality_witness(self, g: int) -> AbstractAxiomWitness:
@@ -589,25 +562,13 @@ class AbstractLpTable:
     def violator_map(self) -> ExplicitViolatorSpace:
         """The induced violator table: h violates G iff adding h raises w.
 
-        Requires a validated table; the result satisfies both violator
-        axioms and is acyclic, so it is returned pre-checked.
+        These are the up masks a successful check_axioms kept; the
+        result satisfies both violator axioms and is acyclic, so it is
+        returned pre-checked.
         """
-        if not self._checked:
+        if self._up is None:
             raise NotValidatedError("run check_axioms() on this table first")
-        r = self._ranks
-        n = self.n
-        table = []
-        for g in range(1 << n):
-            rg = r[g]
-            v = 0
-            m = ~g & ((1 << n) - 1)
-            while m:
-                low = m & -m
-                if r[g | low] > rg:
-                    v |= low
-                m ^= low
-            table.append(v)
-        return ExplicitViolatorSpace(n, table, names=self.names, checked=True)
+        return ExplicitViolatorSpace(self.n, self._up, names=self.names, checked=True)
 
 
 class ConcreteLpProblem:
@@ -681,17 +642,15 @@ class ConcreteLpProblem:
         return table
 
 
-def tabulate_oracle(
-    oracle: ViolationOracle, max_n: int = EXHAUSTIVE_WARN_N
-) -> ExplicitViolatorSpace:
+def tabulate_oracle(oracle: ViolationOracle) -> ExplicitViolatorSpace:
     """Materialize V(G) for every subset by scanning all h outside G.
 
     Every entry costs counted primitive calls.  The result is unchecked;
     run check_axioms() to certify it.
     """
     n = oracle.n
-    if n > max_n:
-        raise ValueError(f"refusing to tabulate n={n} > {max_n} subsets")
+    if n > EXHAUSTIVE_WARN_N:
+        raise ValueError(f"refusing to tabulate n={n} > {EXHAUSTIVE_WARN_N} subsets")
     table = []
     for g in range(1 << n):
         G = ConstraintSet(g, n)

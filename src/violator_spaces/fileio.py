@@ -255,24 +255,32 @@ def _read_csv(text: str) -> Tuple[List[str], List[List[str]]]:
     return header, [[c.strip() for c in row] for row in rows[1:]]
 
 
-def points_from_csv(text: str) -> Tuple[PointSet, List[str]]:
-    header, rows = _read_csv(text)
-    has_name = header and header[0] == "name"
-    coord_cols = header[1:] if has_name else header
-    if not coord_cols:
-        raise ParseError("point CSV needs coordinate columns")
+def _named_rows(
+    header: List[str], rows: List[List[str]], has_name: bool, prefix: str
+) -> Tuple[List[str], List[List[Fraction]]]:
+    """Names and exact values of the data rows; without a name column,
+    row i is named prefix + i."""
     names = []
-    coords = []
+    values = []
     for lineno, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise ParseError(f"line {lineno}: expected {len(header)} fields")
         if has_name:
             names.append(row[0])
-            vals = row[1:]
+            row = row[1:]
         else:
-            names.append(f"p{lineno - 2}")
-            vals = row
-        coords.append([_parse_fraction(v, f"line {lineno}") for v in vals])
+            names.append(f"{prefix}{lineno - 2}")
+        values.append([_parse_fraction(v, f"line {lineno}") for v in row])
+    return names, values
+
+
+def points_from_csv(text: str) -> Tuple[PointSet, List[str]]:
+    header, rows = _read_csv(text)
+    has_name = header[0] == "name"
+    coord_cols = header[1:] if has_name else header
+    if not coord_cols:
+        raise ParseError("point CSV needs coordinate columns")
+    names, coords = _named_rows(header, rows, has_name, "p")
     if not coords:
         raise ParseError("point CSV has no data rows")
     return PointSet.from_rows(coords), names
@@ -280,22 +288,11 @@ def points_from_csv(text: str) -> Tuple[PointSet, List[str]]:
 
 def halfplanes_from_csv(text: str) -> Tuple[HalfplaneLp, List[str]]:
     header, rows = _read_csv(text)
-    has_name = header and header[0] == "name"
+    has_name = header[0] == "name"
     cols = header[1:] if has_name else header
     if cols != ["a", "b", "c"]:
         raise ParseError('halfplane CSV needs header "a,b,c" (optional "name" first)')
-    names = []
-    triples = []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ParseError(f"line {lineno}: expected {len(header)} fields")
-        if has_name:
-            names.append(row[0])
-            vals = row[1:]
-        else:
-            names.append(f"h{lineno - 2}")
-            vals = row
-        triples.append([_parse_fraction(v, f"line {lineno}") for v in vals])
+    names, triples = _named_rows(header, rows, has_name, "h")
     if not triples:
         raise ParseError("halfplane CSV has no data rows")
     try:

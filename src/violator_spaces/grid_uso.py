@@ -112,6 +112,12 @@ def _missing_blocks(gmask: int, block_masks: Sequence[int]) -> int:
     return missing
 
 
+def _check_dense(partition: GridPartition) -> None:
+    """Reject a grid before a dense outmap over its vertices is built."""
+    if partition.vertex_count() > MAX_DENSE_VERTICES:
+        raise ValueError("grid too large for a dense outmap")
+
+
 def _subgrid(gmask: int, partition: GridPartition) -> Iterable[Vertex]:
     """Vertices of the subgrid spanned by a set meeting every block."""
     return product(*([h for h in b if (gmask >> h) & 1] for b in partition.blocks))
@@ -129,8 +135,7 @@ class GridUso:
 
     def __init__(self, partition: GridPartition, outmap: Dict[Vertex, int]):
         self.partition = partition
-        if partition.vertex_count() > MAX_DENSE_VERTICES:
-            raise ValueError("grid too large for a dense outmap")
+        _check_dense(partition)
         block_of = partition.block_of
         n = partition.n
         full = (1 << n) - 1
@@ -231,6 +236,7 @@ def coordinate_order_uso(
     a USO, and the induced violator space is acyclic.
     """
     rank = _ranks(partition, rankings)
+    _check_dense(partition)
     block_of = partition.block_of
     outmap = {}
     for J in partition.vertices():

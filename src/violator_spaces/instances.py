@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import ConstraintSet, ViolationOracle
-from .explicit import ExplicitViolatorSpace, tabulate_oracle
+# re-exported: materialize a live oracle into an explicit table
+from .explicit import tabulate_oracle as tabulate
 
 MAX_BALL_DIM = 10
 
@@ -182,12 +183,6 @@ class MiniballOracle(ViolationOracle):
         return _dist2(self.point_set.points[h], center) > r2
 
 
-def miniball_oracle(
-    ps: PointSet, names: Optional[Sequence[str]] = None
-) -> MiniballOracle:
-    return MiniballOracle(ps, names=names)
-
-
 Halfplane = Tuple[Fraction, Fraction, Fraction]
 
 POSITIVE_ORTHANT: Tuple[Halfplane, ...] = (
@@ -283,14 +278,3 @@ class Lp2dOracle(ViolationOracle):
         x, y = self.optimum_of(G)
         a, b, c = self.lp.halfplanes[h]
         return a * x + b * y > c
-
-
-def lp2d_oracle(
-    lp: HalfplaneLp, names: Optional[Sequence[str]] = None
-) -> Lp2dOracle:
-    return Lp2dOracle(lp, names=names)
-
-
-def tabulate(oracle: ViolationOracle, max_n: int = 16) -> ExplicitViolatorSpace:
-    """Materialize a live oracle into an explicit table (small n only)."""
-    return tabulate_oracle(oracle, max_n=max_n)

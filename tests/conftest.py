@@ -7,9 +7,9 @@ from violator_spaces import (
     ConcreteLpProblem,
     ExplicitViolatorSpace,
     GridPartition,
+    MiniballOracle,
     PointSet,
     Rng,
-    miniball_oracle,
     random_uso,
     tabulate,
     uso_oracle,
@@ -33,7 +33,7 @@ def cyclic3_space() -> ExplicitViolatorSpace:
 
 def square_space() -> ExplicitViolatorSpace:
     ps = PointSet.from_rows([[0, 0], [1, 0], [1, 1], [0, 1]])
-    space = tabulate(miniball_oracle(ps, names=list("abcd")))
+    space = tabulate(MiniballOracle(ps, names=list("abcd")))
     assert space.check_axioms() is None
     return space
 

@@ -13,6 +13,7 @@ from itertools import combinations
 from violator_spaces import (
     ConstraintSet,
     GridPartition,
+    MiniballOracle,
     PointSet,
     Rng,
     basis1,
@@ -20,7 +21,6 @@ from violator_spaces import (
     coordinate_order_oracle,
     coordinate_order_uso,
     cyclic_cube_uso,
-    miniball_oracle,
     random_uso,
     sampling_check,
     solve,
@@ -103,7 +103,7 @@ def _square_row(space, g):
 def test_a2_square_fixture_matches_table():
     start = time.perf_counter()
     ps, names = load_path(str(FIXTURES / "square.csv"))[1]
-    space = tabulate(miniball_oracle(ps, names=names))
+    space = tabulate(MiniballOracle(ps, names=names))
     assert space.check_axioms() is None
     for g in range(16):
         key = "".join(names[i] for i in range(4) if (g >> i) & 1)
@@ -295,7 +295,7 @@ def test_a6_sampling_corollary():
         elif style == 1:
             n = rnd.randint(4, 12)
             rows = [[rnd.randint(0, 8), rnd.randint(0, 8)] for _ in range(n)]
-            oracle = miniball_oracle(PointSet.from_rows(rows))
+            oracle = MiniballOracle(PointSet.from_rows(rows))
         else:
             space = random_uso_space(80000 + i, rnd.choice(RANDOM_USO_SHAPES))
             oracle = space.oracle()

@@ -290,13 +290,13 @@ def test_sampling_rejects_bad_r():
 
 
 def test_solve_on_halfplane_oracle():
-    from violator_spaces import HalfplaneLp, lp2d_oracle
+    from violator_spaces import HalfplaneLp, Lp2dOracle
 
     rows = [(-1, -2, -6), (-1, -1, -4), (3, -4, -2), (1, -2, -2)]
     for seed in range(10):
-        oracle = lp2d_oracle(HalfplaneLp.from_rows(rows), names=list("abcd"))
+        oracle = Lp2dOracle(HalfplaneLp.from_rows(rows), names=list("abcd"))
         C, _ = solve(oracle, Rng(seed))
-        fresh = lp2d_oracle(HalfplaneLp.from_rows(rows))
+        fresh = Lp2dOracle(HalfplaneLp.from_rows(rows))
         assert all(not fresh.violates(C, h) for h in range(4) if h not in C)
         assert {tuple(sorted(C))} <= {(0, 2), (0, 3), (1, 2), (1, 3)}
 

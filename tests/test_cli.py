@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from violator_spaces import ConcreteLpProblem
+from violator_spaces import ConcreteLpProblem, GridPartition
 from violator_spaces.cli import main
 from violator_spaces.fileio import load_path
 
@@ -213,7 +213,7 @@ def test_table_file_past_the_size_cap_exits_four(capsys, tmp_path, kind):
 def test_structure_on_value_table_uses_its_violator_table(
     capsys, tmp_path, monkeypatch, kind
 ):
-    import violator_spaces.instances
+    import violator_spaces.cli
     from violator_spaces.fileio import (
         abstract_to_dict,
         concrete_to_dict,
@@ -239,7 +239,7 @@ def test_structure_on_value_table_uses_its_violator_table(
     def no_tabulation(*args, **kwargs):
         raise AssertionError("structure re-tabulated a table it already had")
 
-    monkeypatch.setattr(violator_spaces.instances, "tabulate_oracle", no_tabulation)
+    monkeypatch.setattr(violator_spaces.cli, "tabulate_oracle", no_tabulation)
     code, out, _ = run_cli(capsys, "structure", table_file, "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -260,6 +260,20 @@ def test_uso_generate_coordinate(capsys, tmp_path):
     assert code == 0
     code, out, _ = run_cli(capsys, "check", out_file)
     assert code == 0
+
+
+def test_uso_generate_size_guard_runs_before_the_outmap_is_built(
+    capsys, monkeypatch
+):
+    def no_vertices(self):
+        raise AssertionError("generate built an outmap past its size guard")
+
+    monkeypatch.setattr(GridPartition, "vertices", no_vertices)
+    code, out, err = run_cli(
+        capsys, "uso", "generate", "--blocks", "300,300", "--kind", "coordinate",
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: grid too large for a dense outmap\n"
 
 
 def test_uso_generate_random_and_tabulate(capsys, tmp_path):
@@ -330,6 +344,19 @@ def test_probe_runs_and_reports(capsys):
     )
     assert code == 0
     assert "cyclic dimension-2 space: none found" in out
+
+
+@pytest.mark.parametrize("n", ["-1", "25"])
+def test_probe_size_guard_runs_before_the_table_is_built(capsys, monkeypatch, n):
+    import violator_spaces.cli as cli
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("probe built a table past its size guard")
+
+    monkeypatch.setattr(cli, "_probe_candidate", no_table)
+    code, out, err = run_cli(capsys, "probe", "--n", n, "--attempts", "1")
+    assert (code, out) == (4, "")
+    assert err == "error: explicit tables support 0 <= n <= 24\n"
 
 
 def test_solve_abstract_and_concrete_files(capsys, tmp_path):

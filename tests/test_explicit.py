@@ -115,9 +115,12 @@ def test_violator_map_of_constant_is_empty():
 
 
 def test_violator_map_requires_validation():
-    t = _cardinality_table(2)
-    with pytest.raises(NotValidatedError):
-        t.violator_map()
+    unchecked = _cardinality_table(2)
+    failed = AbstractLpTable(2, ["0", "0", "0", "1"], ["0", "1"])
+    assert failed.check_axioms() is not None
+    for t in (unchecked, failed):
+        with pytest.raises(NotValidatedError):
+            t.violator_map()
 
 
 def test_square_radius_table_gives_square_space():
@@ -268,9 +271,22 @@ def test_abstract_check_returns_the_full_scan_witness():
         random_values = [rnd.choice(order) for _ in range(1 << n)]
         for values in (valid.values, flipped, monotone, random_values):
             t = AbstractLpTable(n, values, order)
-            expected = _reference_abstract_witness(n, [order.index(v) for v in values])
+            r = [order.index(v) for v in values]
+            expected = _reference_abstract_witness(n, r)
             assert _witness_key(t.check_axioms()) == expected
             assert t.checked == (expected is None)
+            if expected is None:
+                # V(G) = {h outside G : w(G + h) > w(G)}, by brute force
+                brute = [
+                    sum(
+                        1 << h
+                        for h in range(n)
+                        if not (g >> h) & 1 and r[g | 1 << h] > r[g]
+                    )
+                    for g in range(1 << n)
+                ]
+                space = t.violator_map()
+                assert [space.violator_mask(g) for g in range(1 << n)] == brute
             kind = expected[0] if expected else "valid"
             kinds[kind] = kinds.get(kind, 0) + 1
     assert min(kinds.get(k, 0) for k in ("valid", "monotonicity", "locality")) >= 100

@@ -8,11 +8,11 @@ from violator_spaces import (
     ConstraintSet,
     HalfplaneLp,
     InfeasibleRegion,
+    Lp2dOracle,
+    MiniballOracle,
     PointSet,
     Rng,
     UnboundedProblem,
-    lp2d_oracle,
-    miniball_oracle,
     smallest_enclosing_ball,
     solve,
     tabulate,
@@ -81,14 +81,14 @@ def test_ball_of_collinear_points_is_diameter():
 
 
 def test_square_oracle_matches_printed_table():
-    space = tabulate(miniball_oracle(UNIT_SQUARE, names=list("abcd")))
+    space = tabulate(MiniballOracle(UNIT_SQUARE, names=list("abcd")))
     assert space.check_axioms() is None
     expected = square_space()
     assert all(space.violator_mask(g) == expected.violator_mask(g) for g in range(16))
 
 
 def test_boundary_points_are_not_violators():
-    oracle = miniball_oracle(UNIT_SQUARE)
+    oracle = MiniballOracle(UNIT_SQUARE)
     ac = ConstraintSet.of([0, 2], 4)
     assert not oracle.violates(ac, 1)  # b sits on the diagonal circle
     assert not oracle.violates(ac, 3)
@@ -97,20 +97,20 @@ def test_boundary_points_are_not_violators():
 
 
 def test_empty_set_is_violated_by_everything():
-    oracle = miniball_oracle(UNIT_SQUARE)
+    oracle = MiniballOracle(UNIT_SQUARE)
     empty = ConstraintSet.empty(4)
     assert all(oracle.violates(empty, h) for h in range(4))
 
 
 def test_duplicate_point_does_not_violate_zero_ball():
     ps = PointSet.from_rows([[1, 1], [1, 1]])
-    oracle = miniball_oracle(ps)
+    oracle = MiniballOracle(ps)
     assert not oracle.violates(ConstraintSet.of([0], 2), 1)
 
 
 def test_dimension_guard():
     with pytest.raises(ValueError):
-        miniball_oracle(PointSet.from_rows([list(range(11))]))
+        MiniballOracle(PointSet.from_rows([list(range(11))]))
 
 
 def test_tabulated_random_point_sets_pass_axioms_and_are_acyclic():
@@ -122,7 +122,7 @@ def test_tabulated_random_point_sets_pass_axioms_and_are_acyclic():
             [Fraction(rnd.randint(0, 4), rnd.choice([1, 2])) for _ in range(d)]
             for _ in range(n)
         ]
-        space = tabulate(miniball_oracle(PointSet.from_rows(rows)))
+        space = tabulate(MiniballOracle(PointSet.from_rows(rows)))
         assert space.check_axioms() is None
         assert space.structure().acyclic
 
@@ -132,7 +132,7 @@ def test_radius_is_monotone_under_insertion():
     for _ in range(40):
         n = rnd.randint(2, 7)
         rows = [[rnd.randint(0, 8), rnd.randint(0, 8)] for _ in range(n)]
-        oracle = miniball_oracle(PointSet.from_rows(rows))
+        oracle = MiniballOracle(PointSet.from_rows(rows))
         g = rnd.getrandbits(n) | 1
         G = ConstraintSet(g, n)
         h = rnd.randrange(n)
@@ -150,14 +150,14 @@ def test_degenerate_configurations_pass_axioms():
         [[0, 0], [2, 0], [1, 1], [1, -1], [0, 0]],     # cocircular + dup
     ]
     for rows in cases:
-        space = tabulate(miniball_oracle(PointSet.from_rows(rows)))
+        space = tabulate(MiniballOracle(PointSet.from_rows(rows)))
         assert space.check_axioms() is None
 
 
 def test_solve_miniball_preserves_ball():
     rnd = random.Random(302)
     rows = [[rnd.randint(0, 30), rnd.randint(0, 30)] for _ in range(40)]
-    oracle = miniball_oracle(PointSet.from_rows(rows))
+    oracle = MiniballOracle(PointSet.from_rows(rows))
     C, _ = solve(oracle, Rng(17))
     full_ball = oracle.ball_of(oracle.ground_set())
     basis_ball = oracle.ball_of(C)
@@ -170,16 +170,16 @@ def test_solve_miniball_preserves_ball():
 
 def test_lp_empty_set_optimum_is_origin():
     lp = HalfplaneLp.from_rows(LP_FIG4_ROWS)
-    oracle = lp2d_oracle(lp)
+    oracle = Lp2dOracle(lp)
     assert oracle.optimum_of(ConstraintSet.empty(4)) == (0, 0)
     # a halfplane containing the origin is not violated by the empty set
     lp2 = HalfplaneLp.from_rows([(1, 1, 5)])
-    oracle2 = lp2d_oracle(lp2)
+    oracle2 = Lp2dOracle(lp2)
     assert not oracle2.violates(ConstraintSet.empty(1), 0)
 
 
 def test_lp_fig4_class_structure():
-    oracle = lp2d_oracle(HalfplaneLp.from_rows(LP_FIG4_ROWS), names=list("abcd"))
+    oracle = Lp2dOracle(HalfplaneLp.from_rows(LP_FIG4_ROWS), names=list("abcd"))
     space = tabulate(oracle)
     assert space.check_axioms() is None
     st = space.structure()
@@ -201,7 +201,7 @@ def test_lp_fig5_shows_nonmonotone_violators():
     lp = HalfplaneLp.from_rows(
         [(-1, -1, -2), (-1, 0, -1), (1, -4, -2), (-1, 2, -2)]
     )
-    oracle = lp2d_oracle(lp, names=["h1", "h2", "h3", "hstar"])
+    oracle = Lp2dOracle(lp, names=["h1", "h2", "h3", "hstar"])
     F = ConstraintSet.of([0, 1], 4)
     G = ConstraintSet.of([0, 1, 2], 4)
     assert not oracle.violates(F, 3)
@@ -213,12 +213,12 @@ def test_lp_fig5_shows_nonmonotone_violators():
 def test_lp_unbounded_implicit_region_rejected():
     # only y >= 0: x is free, so the tie-break direction is unbounded
     with pytest.raises(UnboundedProblem):
-        lp2d_oracle(HalfplaneLp.from_rows([(1, 1, 5)], implicit=[(0, -1, 0)]))
+        Lp2dOracle(HalfplaneLp.from_rows([(1, 1, 5)], implicit=[(0, -1, 0)]))
 
 
 def test_lp_infeasible_subset_raises():
     # x <= -1 conflicts with the positive orthant
-    oracle = lp2d_oracle(HalfplaneLp.from_rows([(1, 0, -1)]))
+    oracle = Lp2dOracle(HalfplaneLp.from_rows([(1, 0, -1)]))
     with pytest.raises(InfeasibleRegion):
         oracle.optimum_of(ConstraintSet.of([0], 1))
 
@@ -235,14 +235,14 @@ def test_random_lps_with_common_point_pass_axioms():
             # force (3, 7) feasible so every subset is feasible
             c = a * 3 + b * 7 + rnd.randint(0, 5)
             rows.append((a, b, c))
-        space = tabulate(lp2d_oracle(HalfplaneLp.from_rows(rows)))
+        space = tabulate(Lp2dOracle(HalfplaneLp.from_rows(rows)))
         assert space.check_axioms() is None
         assert space.structure().acyclic
 
 
 def test_tabulate_size_guard():
     rows = [[i, 0] for i in range(17)]
-    oracle = miniball_oracle(PointSet.from_rows(rows))
+    oracle = MiniballOracle(PointSet.from_rows(rows))
     with pytest.raises(ValueError):
         tabulate(oracle)
 
