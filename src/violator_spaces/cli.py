@@ -9,7 +9,8 @@ Every command reads its input through `_open`, which parses the file
 once and validates it once, and `main` turns each error into its exit
 code.  `check` prints a witness on stdout, because the witness is its
 result; every other command reports an invalid input on stderr as
-"error: input failed validation: <witness>".
+"error: input failed validation: <witness>".  A halfplane subset whose
+region is empty is such a witness.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .grid_uso import (
     uso_oracle,
     validate_uso,
 )
-from .instances import Lp2dOracle, MiniballOracle
+from .instances import InfeasibleRegion, Lp2dOracle, MiniballOracle
 
 DEFAULT_SEED = 1729
 
@@ -159,7 +160,7 @@ def cmd_check(args) -> int:
     except EdgeConsistencyError as exc:
         print(f"edge consistency violated: {exc}")
         return EXIT_WITNESS
-    except CheckFailed as exc:
+    except (CheckFailed, InfeasibleRegion) as exc:
         print(exc)
         return EXIT_WITNESS
 
@@ -439,35 +440,30 @@ def cmd_sampling(args) -> int:
 # -- probe -------------------------------------------------------------
 
 
-def _probe_candidate(rng: Rng, n: int, sweeps: int = 6):
+def _probe_candidate(rng: Rng, n: int):
     """One search step: a random consistency-respecting table pushed
-    towards locality by bounded repair sweeps (where F is inside G and G
-    is disjoint from V(F), overwrite V(G) with V(F)), then verified."""
+    towards locality by a repair pass, then verified.  The pass visits G
+    in mask order and sets V(G) to V(F) for the numerically least proper
+    subset F of G with G disjoint from V(F), if any.  Every V(F) it
+    reads is final by then, so a second pass would change nothing."""
     size = 1 << n
     table = []
     for g in range(size):
-        comp = ~g & (size - 1)
         v = 0
-        m = comp
+        m = ~g & (size - 1)
         while m:
             low = m & -m
             if rng.randbelow(2):
                 v |= low
             m ^= low
         table.append(v)
-    for _ in range(sweeps):
-        changed = False
-        for g in range(size):
-            f = (g - 1) & g
-            while True:
-                if g & table[f] == 0 and table[g] != table[f]:
-                    table[g] = table[f]
-                    changed = True
-                if f == 0:
-                    break
-                f = (f - 1) & g
-        if not changed:
-            break
+    for g in range(size):
+        f = 0
+        while f != g:
+            if g & table[f] == 0:
+                table[g] = table[f]
+                break
+            f = (f - g) & g
     space = ExplicitViolatorSpace(n, table)
     return space if space.check_axioms() is None else None
 
@@ -602,7 +598,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
-    except (CheckFailed, EdgeConsistencyError) as exc:
+    except (CheckFailed, EdgeConsistencyError, InfeasibleRegion) as exc:
         sys.stderr.write(f"error: input failed validation: {exc}\n")
         return EXIT_WITNESS
     except ValueError as exc:

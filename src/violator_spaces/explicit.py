@@ -231,71 +231,54 @@ class ExplicitViolatorSpace:
 
     def structure(self) -> "BasisStructure":
         """Equivalence classes of bases, the locally-smaller order, and
-        either a cycle witness or a deterministic linear extension."""
+        either a cycle witness or a deterministic linear extension.
+
+        The order is held once as bitmask rows over class indices:
+        succ[i] has bit j iff classes[i] <=0 classes[j], and reach is its
+        transitive closure (Warshall); every field is read off the two.
+        """
         self._require_checked()
         bases = self.enumerate_bases()
+        # bases arrive sorted and a dict keeps first-insertion order, so
+        # each class's members, and the classes by representative, are
+        # already in canonical order
         by_violators: Dict[int, List[ConstraintSet]] = {}
         for b in bases:
             by_violators.setdefault(self._table[b.mask], []).append(b)
-        classes = [
-            BasisClass(ConstraintSet(v, self.n), members)
-            for v, members in by_violators.items()
-        ]
-        classes.sort(key=lambda c: c.representative.sort_key())
-
-        k = len(classes)
         # [B] <=0 [C] iff some member of [B] is disjoint from V([C]).
-        leq0 = set()
-        for j, cj in enumerate(classes):
-            vj = cj.violators.mask
-            for i, ci in enumerate(classes):
-                if any(m.mask & vj == 0 for m in ci.members):
-                    leq0.add((i, j))
-
-        # transitive closure over class indices, as reachability bitmasks
-        succ = [0] * k
-        for i, j in leq0:
-            succ[i] |= 1 << j
+        succ = []
+        for members in by_violators.values():
+            row = 0
+            for j, v in enumerate(by_violators):
+                if any(b.mask & v == 0 for b in members):
+                    row |= 1 << j
+            succ.append(row)
+        k = len(succ)
         reach = list(succ)
-        changed = True
-        while changed:
-            changed = False
+        for j in range(k):
+            bit, row = 1 << j, reach[j]
             for i in range(k):
-                r = reach[i]
-                m = r
-                while m:
-                    low = m & -m
-                    r |= reach[low.bit_length() - 1]
-                    m ^= low
-                if r != reach[i]:
-                    reach[i] = r
-                    changed = True
-        leq1 = set(leq0)
-        for i in range(k):
-            m = reach[i]
-            while m:
-                low = m & -m
-                leq1.add((i, low.bit_length() - 1))
-                m ^= low
-
-        acyclic = all(
-            not (reach[i] >> j) & 1 or not (reach[j] >> i) & 1
-            for i in range(k)
-            for j in range(i + 1, k)
+                if reach[i] & bit:
+                    reach[i] |= row
+        # the least class that reaches, and is reached by, another one
+        start = next(
+            (i for i in range(k)
+             if any(reach[j] >> i & 1 for j in _bits(reach[i] & ~(1 << i)))),
+            None,
         )
-
-        extension = _linear_extension(k, leq0) if acyclic else None
-        cycle = None if acyclic else _cycle_witness(k, leq0, reach)
-
+        acyclic = start is None
         return BasisStructure(
             space=self,
             bases=bases,
-            classes=classes,
-            leq0=frozenset(leq0),
-            leq1=frozenset(leq1),
+            classes=[
+                BasisClass(ConstraintSet(v, self.n), members)
+                for v, members in by_violators.items()
+            ],
+            leq0=_pairs(succ),
+            leq1=_pairs(reach),
             acyclic=acyclic,
-            linear_extension=extension,
-            cycle=cycle,
+            linear_extension=_linear_extension(succ) if acyclic else None,
+            cycle=None if acyclic else _cycle_witness(succ, start),
         )
 
     # -- conversions --------------------------------------------------
@@ -333,9 +316,6 @@ class BasisClass:
 
     violators: ConstraintSet
     members: List[ConstraintSet]
-
-    def __post_init__(self) -> None:
-        self.members = sorted(self.members, key=ConstraintSet.sort_key)
 
     @property
     def representative(self) -> ConstraintSet:
@@ -396,54 +376,48 @@ class BasisStructure:
         )
 
 
-def _linear_extension(k: int, leq0: set) -> List[int]:
-    """Kahn's algorithm; ties go to the lowest class index, and classes
-    are pre-sorted by representative, so ties resolve to the
-    lexicographically least representative."""
-    preds = [set() for _ in range(k)]
-    for i, j in leq0:
-        if i != j:
-            preds[j].add(i)
+def _bits(m: int):
+    """Indices of the set bits of m, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _pairs(rows: List[int]) -> frozenset:
+    return frozenset((i, j) for i, row in enumerate(rows) for j in _bits(row))
+
+
+def _linear_extension(succ: List[int]) -> List[int]:
+    """Kahn's algorithm over bitmask predecessor rows; ties go to the
+    lowest class index, and classes are ordered by representative, so
+    ties resolve to the lexicographically least representative."""
+    k = len(succ)
+    pred = [0] * k
+    for i, row in enumerate(succ):
+        for j in _bits(row & ~(1 << i)):
+            pred[j] |= 1 << i
     placed: List[int] = []
-    done = set()
-    while len(placed) < k:
-        candidates = [
-            i for i in range(k) if i not in done and preds[i].issubset(done)
-        ]
-        if not candidates:
-            raise AssertionError("cycle encountered while extending an acyclic order")
-        nxt = min(candidates)
+    done = 0
+    for _ in range(k):
+        nxt = next(i for i in range(k) if not done >> i & 1 and pred[i] & ~done == 0)
         placed.append(nxt)
-        done.add(nxt)
+        done |= 1 << nxt
     return placed
 
 
-def _cycle_witness(k: int, leq0: set, reach: List[int]) -> List[int]:
-    """Shortest locally-smaller cycle through the least class index that
-    sits on any cycle; deterministic by ascending neighbor order."""
-    succ = [[] for _ in range(k)]
-    for i, j in sorted(leq0):
-        if i != j:
-            succ[i].append(j)
-    on_cycle = [
-        i
-        for i in range(k)
-        if any(
-            (reach[i] >> j) & 1 and (reach[j] >> i) & 1 for j in range(k) if j != i
-        )
-    ]
-    start = min(on_cycle)
-    # BFS from start; the first edge found back to start closes the cycle.
+def _cycle_witness(succ: List[int], start: int) -> List[int]:
+    """Shortest locally-smaller cycle through start, by BFS with
+    neighbours in ascending order and self-loops skipped."""
     parent = {start: None}
     queue = [start]
-    while queue:
-        node = queue.pop(0)
-        for nb in succ[node]:
-            if nb == start and node != start:
+    for node in queue:  # the queue grows while it is walked
+        for nb in _bits(succ[node] & ~(1 << node)):
+            if nb == start:
                 path = [node]
                 while parent[path[-1]] is not None:
                     path.append(parent[path[-1]])
-                return list(reversed(path))
+                return path[::-1]
             if nb not in parent:
                 parent[nb] = node
                 queue.append(nb)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,6 +34,12 @@ from .explicit import (
 )
 from .grid_uso import GridPartition, GridUso
 from .instances import HalfplaneLp, PointSet
+
+
+# CPython's cap on the digits of an integer string; Fraction would build
+# 10**e for any exponent, so larger ones are rejected before parsing
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?[0_]*([\d_]*)$")
 
 
 class ParseError(Exception):
@@ -241,6 +248,10 @@ def uso_to_dict(u: GridUso, names: Optional[Sequence[str]] = None) -> dict:
 
 
 def _parse_fraction(text: str, where: str) -> Fraction:
+    exp = _EXPONENT.search(text.strip())
+    digits = exp.group(1).replace("_", "") if exp else ""
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+        raise ParseError(f"{where}: exponent beyond {MAX_EXPONENT} in magnitude")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

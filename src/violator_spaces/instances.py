@@ -14,6 +14,7 @@ never changes the logical call count.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -23,6 +24,8 @@ from .core import ConstraintSet, ViolationOracle
 from .explicit import tabulate_oracle as tabulate
 
 MAX_BALL_DIM = 10
+# seeds the per-call point shuffle in smallest_enclosing_ball
+_SHUFFLE_SEED = 0x5EB
 
 Point = Tuple[Fraction, ...]
 Ball = Tuple[Point, Fraction]
@@ -123,28 +126,28 @@ def _solve_rational(mat: List[List[Fraction]], k: int) -> Optional[List[Fraction
     return sol
 
 
-def smallest_enclosing_ball(points: Sequence[Point], seed: int = 0x5EB) -> Ball:
-    """Exact smallest enclosing ball via Welzl's recursion.
+def smallest_enclosing_ball(points: Sequence[Point]) -> Ball:
+    """Exact smallest enclosing ball via Welzl's algorithm.
 
     The point order is shuffled deterministically per call; the ball
-    itself is unique, so the answer does not depend on the order.
+    itself is unique, so the answer does not depend on the order.  A
+    level recurses only when a point joins the boundary: depth <= d + 2.
     """
     pts = list(points)
     if not pts:
         raise ValueError("need at least one point")
     d = len(pts[0])
-    import random as _random
-
-    _random.Random(seed ^ len(pts)).shuffle(pts)
+    random.Random(_SHUFFLE_SEED ^ len(pts)).shuffle(pts)
 
     def md(i: int, boundary: List[Point]) -> Optional[Ball]:
-        if i == 0 or len(boundary) == d + 1:
-            return _circumball(boundary)
-        ball = md(i - 1, boundary)
-        p = pts[i - 1]
-        if ball is not None and _dist2(p, ball[0]) <= ball[1]:
+        ball = _circumball(boundary)
+        if len(boundary) == d + 1:
             return ball
-        return md(i - 1, boundary + [p])
+        for j in range(i):
+            p = pts[j]
+            if ball is None or _dist2(p, ball[0]) > ball[1]:
+                ball = md(j, boundary + [p])
+        return ball
 
     ball = md(len(pts), [])
     assert ball is not None

@@ -335,6 +335,20 @@ def test_sampling_square_fixture(capsys):
     assert "passed: yes" in out
 
 
+def test_sampling_on_1200_points_does_not_overflow_the_stack(capsys, tmp_path):
+    rnd = random.Random(12)
+    path = tmp_path / "points.csv"
+    path.write_text("name,x,y\n" + "".join(
+        f"p{i},{rnd.randint(-1000, 1000)},{rnd.randint(-1000, 1000)}\n"
+        for i in range(1200)
+    ))
+    code, out, err = run_cli(
+        capsys, "sampling", path, "--r", "1100", "--trials", "1"
+    )
+    assert (code, err) == (0, "")
+    assert "r: 1100" in out
+
+
 # -- probe -------------------------------------------------------------------
 
 
@@ -344,6 +358,70 @@ def test_probe_runs_and_reports(capsys):
     )
     assert code == 0
     assert "cyclic dimension-2 space: none found" in out
+
+
+def _sweeping_probe_candidate(rng, n, sweeps=6):
+    """The probe step with up to six repair sweeps, each a decreasing
+    scan over the proper subsets F of G that writes V(F) at every hit.
+    Returns the repaired table and the space, or None if it is invalid."""
+    from violator_spaces import ExplicitViolatorSpace
+
+    size = 1 << n
+    table = []
+    for g in range(size):
+        v = 0
+        m = ~g & (size - 1)
+        while m:
+            low = m & -m
+            if rng.randbelow(2):
+                v |= low
+            m ^= low
+        table.append(v)
+    for _ in range(sweeps):
+        changed = False
+        for g in range(size):
+            f = (g - 1) & g
+            while True:
+                if g & table[f] == 0 and table[g] != table[f]:
+                    table[g] = table[f]
+                    changed = True
+                if f == 0:
+                    break
+                f = (f - 1) & g
+        if not changed:
+            break
+    space = ExplicitViolatorSpace(n, table)
+    return table, space if space.check_axioms() is None else None
+
+
+def test_probe_repair_stops_at_the_least_disjoint_subset(monkeypatch):
+    import violator_spaces.cli as cli
+    from violator_spaces import ExplicitViolatorSpace, Rng
+
+    # valid results agree even when a repair picks another F or stops
+    # early, so the repaired table is compared too, as it reaches the
+    # space constructor
+    repaired = []
+
+    def recording_space(n, table):
+        repaired.append(list(table))
+        return ExplicitViolatorSpace(n, table)
+
+    monkeypatch.setattr(cli, "ExplicitViolatorSpace", recording_space)
+    valid = 0
+    for n in range(2, 7):
+        for seed in range(400):
+            got = cli._probe_candidate(Rng(seed), n)
+            table, want = _sweeping_probe_candidate(Rng(seed), n)
+            assert repaired.pop() == table
+            assert (got is None) == (want is None)
+            if got is not None:
+                valid += 1
+                assert all(
+                    got.violator_mask(g) == want.violator_mask(g)
+                    for g in range(1 << n)
+                )
+    assert valid >= 200
 
 
 @pytest.mark.parametrize("n", ["-1", "25"])
@@ -504,6 +582,9 @@ def _invalid_inputs(tmp_path):
     for name, text in docs.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
+    # x <= -1 leaves nothing of the implicit orthant
+    paths["infeasible"] = tmp_path / "infeasible.csv"
+    paths["infeasible"].write_text("name,a,b,c\nh1,1,0,-1\nh2,0,1,5\n")
     return paths
 
 
@@ -512,12 +593,15 @@ WITNESS = {
     "abstract": "monotonicity fails: w(b,c,d) > w(a,b,c,d)",
     "two_sinks": "subgrid 1,2,3,4 has 2 sinks",
     "edges": "edge {(1, 2), (1, 3)} is oriented neither way",
+    "infeasible": "no feasible vertex: the region is empty",
 }
 COMMANDS = {
     "check": ("check", "{path}"),
     "structure": ("structure", "{path}"),
     "solve": ("solve", "{path}"),
-    "sampling": ("sampling", "{path}", "--r", "0", "--trials", "1"),
+    # r = 1: an r = 0 sample queries only the empty set, whose region is
+    # the implicit one and never empty
+    "sampling": ("sampling", "{path}", "--r", "1", "--trials", "1"),
     "tabulate": ("uso", "tabulate", "{path}"),
 }
 
@@ -526,7 +610,7 @@ def _expected(name, command):
     """(exit code, stream, message) for one invalid input and command."""
     if name == "malformed":
         return 2, "err", "error: {path}: invalid JSON at line 1, column 31\n"
-    if command == "tabulate" and name in ("explicit", "abstract"):
+    if command == "tabulate" and name in ("explicit", "abstract", "infeasible"):
         return 2, "err", "error: {path} is not a USO file\n"
     if command == "check":
         prefix = "edge consistency violated: " if name == "edges" else ""
@@ -535,7 +619,9 @@ def _expected(name, command):
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("name", ["explicit", "abstract", "two_sinks", "edges", "malformed"])
+@pytest.mark.parametrize(
+    "name", ["explicit", "abstract", "two_sinks", "edges", "malformed", "infeasible"]
+)
 def test_invalid_input_matrix(capsys, tmp_path, name, command):
     path = _invalid_inputs(tmp_path)[name]
     code, out, err = run_cli(

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from violator_spaces import cyclic_cube_uso, validate_uso
@@ -152,3 +154,37 @@ def test_explicit_empty_ground_set_round_trip():
     space = explicit_from_dict(doc)
     assert space.n == 0
     assert explicit_to_dict(space) == doc
+
+
+HUGE_EXPONENTS = ["1e10000000", "1e-10000000", "1e" + "9" * 5000]
+
+
+@pytest.mark.parametrize("kind", ["points", "halfplanes"])
+@pytest.mark.parametrize("field", HUGE_EXPONENTS, ids=["1e10M", "1e-10M", "5000-digits"])
+def test_huge_exponent_is_a_parse_error_before_parsing(capsys, tmp_path, kind, field):
+    from violator_spaces.cli import main
+
+    header = "name,x,y" if kind == "points" else "name,a,b,c"
+    extra = "" if kind == "points" else ",1"
+    path = tmp_path / "huge.csv"
+    path.write_text(f"{header}\nq0,{field},1{extra}\nq1,1,1{extra}\n")
+    start = time.perf_counter()
+    code = main(["check", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: exponent beyond 4300 in magnitude\n"
+    )
+
+
+@pytest.mark.parametrize("load", [points_from_csv, halfplanes_from_csv])
+def test_exponent_guard_keeps_bad_rationals_and_the_cap(load):
+    header = "x,y" if load is points_from_csv else "a,b,c"
+    extra = "" if load is points_from_csv else ",1"
+    with pytest.raises(ParseError, match="line 2: bad rational '1e\\+x'"):
+        load(f"{header}\n1e+x,1{extra}\n")
+    obj, _ = load(f"{header}\n1e4300,1{extra}\n")
+    first = obj.points[0][0] if load is points_from_csv else obj.halfplanes[0][0]
+    assert first == 10**4300
+    with pytest.raises(ParseError, match="exponent beyond 4300"):
+        load(f"{header}\n1e4301,1{extra}\n")
