@@ -20,7 +20,6 @@ from .algorithms import (
     NoBasisFound,
     Rng,
     SamplingReport,
-    WeightedGroundSet,
     basis1,
     basis2,
     sampling_check,

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from itertools import combinations, count
+from typing import Callable, Iterator, List, Sequence, Set, Tuple
 
 from .core import ConstraintSet, SolveStats, ViolationOracle
 
@@ -82,14 +82,16 @@ class Rng:
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:r]
 
-    def weighted_support(self, items: Sequence[Tuple[int, int]], r: int) -> Set[int]:
-        """Support of a uniform r-sub-multiset of the weighted items.
+    def weighted_support(
+        self, members: Sequence[int], weights: Sequence[int], r: int
+    ) -> Set[int]:
+        """Support of a uniform r-sub-multiset of the weighted members.
 
         Draws r copies without replacement from the multiset in which
-        item h appears weight(h) times, then collapses to the distinct
-        elements drawn.
+        members[i] appears weights[i] times, then collapses to the
+        distinct elements drawn.
         """
-        weights = [w for _, w in items]
+        weights = list(weights)
         total = sum(weights)
         if r > total:
             raise ValueError(f"cannot draw {r} of {total} copies")
@@ -100,36 +102,10 @@ class Rng:
                 if x < w:
                     break
                 x -= w
-            support.add(items[idx][0])
+            support.add(members[idx])
             weights[idx] -= 1
             total -= 1
         return support
-
-
-@dataclass
-class WeightedGroundSet:
-    """Positive integer multiplicities over a constraint set."""
-
-    weights: Dict[int, int]
-
-    def __post_init__(self) -> None:
-        for h, w in self.weights.items():
-            if w < 1:
-                raise ValueError(f"multiplicity of {h} must be >= 1")
-
-    @property
-    def total(self) -> int:
-        return sum(self.weights.values())
-
-    def of(self, members: Sequence[int]) -> int:
-        return sum(self.weights[h] for h in members)
-
-    def double(self, members: Sequence[int]) -> None:
-        for h in members:
-            self.weights[h] *= 2
-
-    def items(self) -> List[Tuple[int, int]]:
-        return sorted(self.weights.items())
 
 
 def trivial_basis(oracle: ViolationOracle, G: ConstraintSet) -> ConstraintSet:
@@ -164,8 +140,36 @@ def trivial_basis(oracle: ViolationOracle, G: ConstraintSet) -> ConstraintSet:
     )
 
 
-def _loop_limit(delta: int, g: int) -> float:
-    return 100.0 * delta * (1.0 + math.log2(max(g, 2)))
+def _violators(
+    oracle: ViolationOracle, C: ConstraintSet, members: Sequence[int]
+) -> List[int]:
+    """Positions in members of the members outside C that violate C."""
+    mask = C.mask
+    return [
+        i for i, h in enumerate(members)
+        if not (mask >> h) & 1 and oracle.violates(C, h)
+    ]
+
+
+def _iterations(stage: str, delta: int, g: int, stats: SolveStats) -> Iterator[None]:
+    """One step per loop iteration of a stage, counted in stats; past
+    the generous 100*delta*(1 + log2 g) the oracle is taken to break the
+    axioms."""
+    limit = 100.0 * delta * (1.0 + math.log2(max(g, 2)))
+    for iterations in count(1):
+        stats.loop_iterations += 1
+        if iterations > limit:
+            raise IterationGuardExceeded(
+                f"{stage} exceeded {limit:.0f} iterations on |G|={g}"
+            )
+        yield
+
+
+def _trivial(
+    oracle: ViolationOracle, G: ConstraintSet, rng: Rng, stats: SolveStats
+) -> ConstraintSet:
+    stats.trivial_calls += 1
+    return trivial_basis(oracle, G)
 
 
 def _basis2(
@@ -173,33 +177,24 @@ def _basis2(
 ) -> ConstraintSet:
     stats.basis2_calls += 1
     delta = oracle.delta
+    r = 6 * delta * delta
     members = sorted(G)
     g = len(members)
-    if g <= 6 * delta * delta:
-        stats.trivial_calls += 1
-        return trivial_basis(oracle, G)
+    if g <= r:
+        return _trivial(oracle, G, rng, stats)
 
-    r = 6 * delta * delta
-    mu = WeightedGroundSet({h: 1 for h in members})
+    weights = [1] * g
     successful = 0
     max_successful = 3.0 * delta * math.log(g)
-    iterations = 0
-    limit = _loop_limit(delta, g)
-    while True:
-        iterations += 1
-        stats.loop_iterations += 1
-        if iterations > limit:
-            raise IterationGuardExceeded(
-                f"basis2 exceeded {limit:.0f} iterations on |G|={g}"
-            )
-        R = ConstraintSet.of(rng.weighted_support(mu.items(), r), oracle.n)
-        stats.trivial_calls += 1
-        C = trivial_basis(oracle, R)
-        viol = [h for h in members if h not in C and oracle.violates(C, h)]
+    for _ in _iterations("basis2", delta, g, stats):
+        R = ConstraintSet.of(rng.weighted_support(members, weights, r), oracle.n)
+        C = _trivial(oracle, R, rng, stats)
+        viol = _violators(oracle, C, members)
         if not viol:
             return C
-        if 3 * delta * mu.of(viol) <= mu.total:
-            mu.double(viol)
+        if 3 * delta * sum(weights[i] for i in viol) <= sum(weights):
+            for i in viol:
+                weights[i] *= 2
             successful += 1
             stats.reweight_iterations += 1
             if successful >= max_successful:
@@ -221,22 +216,14 @@ def _basis1(
     r = math.isqrt(delta * delta * g)
     W = ConstraintSet.empty(oracle.n)
     augmentations = 0
-    iterations = 0
-    limit = _loop_limit(delta, g)
-    while True:
-        iterations += 1
-        stats.loop_iterations += 1
-        if iterations > limit:
-            raise IterationGuardExceeded(
-                f"basis1 exceeded {limit:.0f} iterations on |G|={g}"
-            )
+    for _ in _iterations("basis1", delta, g, stats):
         R = ConstraintSet.of(rng.subset(members, r), oracle.n)
         C = _basis2(oracle, W | R, rng, stats)
-        viol = [h for h in members if h not in C and oracle.violates(C, h)]
+        viol = _violators(oracle, C, members)
         if not viol:
             return C
         if len(viol) * len(viol) <= 4 * g:
-            W = W | ConstraintSet.of(viol, oracle.n)
+            W = W | ConstraintSet.of((members[i] for i in viol), oracle.n)
             augmentations += 1
             stats.w_augmentations += 1
             if augmentations > delta:
@@ -244,13 +231,6 @@ def _basis1(
                     f"basis1 augmented its working set {augmentations} times,"
                     f" which contradicts the <= {delta} bound"
                 )
-
-
-def _trivial(
-    oracle: ViolationOracle, G: ConstraintSet, rng: Rng, stats: SolveStats
-) -> ConstraintSet:
-    stats.trivial_calls += 1
-    return trivial_basis(oracle, G)
 
 
 def _with_stats(
@@ -325,15 +305,10 @@ def sampling_check(
     if trials < 1:
         raise ValueError("need at least one trial")
     members = list(range(n))
-    counts = []
-    for _ in range(trials):
-        R = ConstraintSet.of(rng.subset(members, r), n)
-        base = W | R
-        count = 0
-        for h in range(n):
-            if h not in base and oracle.violates(base, h):
-                count += 1
-        counts.append(count)
+    counts = [
+        len(_violators(oracle, W | ConstraintSet.of(rng.subset(members, r), n), members))
+        for _ in range(trials)
+    ]
     mean = sum(counts) / trials
     if trials > 1:
         var = sum((c - mean) ** 2 for c in counts) / (trials - 1)

@@ -185,17 +185,23 @@ def cmd_check(args) -> int:
 # -- solve -------------------------------------------------------------
 
 
+# every --algo choice, in the order usage lists them
+ALGORITHMS = {"trivial": trivial, "clarkson1": basis1, "clarkson2": basis2, "auto": basis1}
+
+
 def _run_algorithm(
     oracle: ViolationOracle, algo: str, rng: Rng
 ) -> Tuple[ConstraintSet, SolveStats]:
-    G = oracle.ground_set()
-    if algo == "trivial":
-        return trivial(oracle, G, rng)
-    if algo == "clarkson1" or algo == "auto":
-        return basis1(oracle, G, rng)
-    if algo == "clarkson2":
-        return basis2(oracle, G, rng)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    return ALGORITHMS[algo](oracle, oracle.ground_set(), rng)
+
+
+def _parse_algos(text: str) -> List[str]:
+    algos = [a.strip() for a in text.split(",") if a.strip()]
+    if not algos or any(a not in ALGORITHMS for a in algos):
+        raise argparse.ArgumentTypeError(
+            f"bad algorithm list {text!r}; choose from {', '.join(ALGORITHMS)}"
+        )
+    return algos
 
 
 def cmd_solve(args) -> int:
@@ -374,11 +380,10 @@ def _uniform_blocks(n: int, delta: int) -> List[int]:
 
 
 def cmd_bench(args) -> int:
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     rows = ["n,delta,algo,mean_primitive_calls,mean_loop_iterations,trials,seed"]
     for n in args.sizes:
         partition = GridPartition.uniform(_uniform_blocks(n, args.delta))
-        for algo in algos:
+        for algo in args.algos:
             total_calls = 0
             total_iters = 0
             for trial in range(args.trials):
@@ -529,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="find a basis of the full ground set")
     p.add_argument("path")
     p.add_argument("--algo", default="auto",
-                   choices=["trivial", "clarkson1", "clarkson2", "auto"])
+                   choices=list(ALGORITHMS))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--delta", type=_positive_int, default=None)
     p.add_argument("--format", default="text", choices=["text", "json"])
@@ -560,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark algorithms on grid USOs")
     p.add_argument("--delta", type=_positive_int, default=2)
     p.add_argument("--sizes", type=_parse_sizes, default="64,128,256")
-    p.add_argument("--algos", default="clarkson1,clarkson2")
+    p.add_argument("--algos", type=_parse_algos, default="clarkson1,clarkson2")
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
@@ -582,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="random search for a cyclic"
                                      " dimension-2 violator space")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--attempts", type=int, default=2000)
+    p.add_argument("--attempts", type=_positive_int, default=2000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_probe)

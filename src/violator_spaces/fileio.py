@@ -30,6 +30,7 @@ from .explicit import (
     AbstractLpTable,
     ConcreteLpProblem,
     ExplicitViolatorSpace,
+    _check_names,
     check_table_size,
 )
 from .grid_uso import GridPartition, GridUso
@@ -56,7 +57,7 @@ def _subset_key(mask: int, names: Sequence[str]) -> str:
 def _parse_member_list(members, name_index: Dict[str, int], what: str) -> int:
     mask = 0
     for name in members:
-        if name not in name_index:
+        if not isinstance(name, str) or name not in name_index:
             raise ParseError(f"{what}: unknown constraint name {name!r}")
         bit = 1 << name_index[name]
         if mask & bit:
@@ -71,11 +72,19 @@ def _parse_key(key: str, name_index: Dict[str, int], what: str) -> int:
     return _parse_member_list(key.split(","), name_index, what)
 
 
+def _checked_names(names: List[str]) -> List[str]:
+    """Constraint names of any file kind: distinct, nonempty, comma-free."""
+    try:
+        return _check_names(names, len(names))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def _load_names(doc: dict) -> List[str]:
     names = doc.get("names")
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise ParseError('"names" must be a list of strings')
-    return names
+    return _checked_names(names)
 
 
 # -- explicit violator spaces ----------------------------------------
@@ -86,8 +95,6 @@ def explicit_from_dict(doc: dict) -> ExplicitViolatorSpace:
     n = len(names)
     check_table_size("explicit", n)
     index = {name: i for i, name in enumerate(names)}
-    if len(index) != n:
-        raise ParseError("names must be unique")
     violators = doc.get("violators")
     if not isinstance(violators, dict):
         raise ParseError('"violators" must be an object')
@@ -178,7 +185,7 @@ def concrete_from_dict(doc: dict) -> ConcreteLpProblem:
             isinstance(i, int) and 0 <= i < len(points) for i in c
         ):
             raise ParseError(f"constraint {c} must list point indices")
-    names = doc.get("names")
+    names = _load_names(doc) if "names" in doc else None
     try:
         return ConcreteLpProblem(points, constraints, names=names)
     except ValueError as exc:
@@ -201,12 +208,10 @@ def uso_from_dict(doc: dict) -> Tuple[GridUso, List[str]]:
     outmap_doc = doc.get("outmap")
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ParseError('"blocks" must be a list of name lists')
-    names = [str(x) for b in blocks for x in b]
-    if len(set(names)) != len(names):
-        raise ParseError("block entries must be unique")
+    names = _checked_names([str(x) for b in blocks for x in b])
     index = {name: i for i, name in enumerate(names)}
     sizes = [len(b) for b in blocks]
-    if any(s == 0 for s in sizes):
+    if not sizes or any(s == 0 for s in sizes):
         raise ParseError("every block must be nonempty")
     partition = GridPartition.uniform(sizes)
     if not isinstance(outmap_doc, dict):
@@ -282,7 +287,7 @@ def _named_rows(
         else:
             names.append(f"{prefix}{lineno - 2}")
         values.append([_parse_fraction(v, f"line {lineno}") for v in row])
-    return names, values
+    return _checked_names(names), values
 
 
 def points_from_csv(text: str) -> Tuple[PointSet, List[str]]:

@@ -10,7 +10,6 @@ from violator_spaces import (
     NoBasisFound,
     Rng,
     ViolationOracle,
-    WeightedGroundSet,
     basis1,
     basis2,
     coordinate_order_oracle,
@@ -59,22 +58,22 @@ def test_subset_is_uniformly_sized_and_contained():
 
 def test_weighted_support_collapses_duplicates():
     r = Rng(3)
-    items = [(0, 5), (1, 1), (2, 1)]
     for _ in range(50):
-        support = r.weighted_support(items, 3)
+        support = r.weighted_support([0, 1, 2], [5, 1, 1], 3)
         assert support <= {0, 1, 2}
         assert 1 <= len(support) <= 3
 
 
-def test_weighted_ground_set_doubles_without_a_cap():
+def test_weighted_support_draws_over_uncapped_weights():
     # 3*delta*ln|G| doublings exceed 128 bits for large delta; ints are unbounded
-    w = WeightedGroundSet({0: 1, 1: 1})
-    for _ in range(200):
-        w.double([0])
-    assert w.weights == {0: 2**200, 1: 1}
-    assert w.total == 2**200 + 1
+    heavy = 2**200
+    for seed in range(20):
+        x = Rng(seed).randbelow(heavy + 1)
+        expected = {10} if x < heavy else {20}
+        assert Rng(seed).weighted_support([10, 20], [heavy, 1], 1) == expected
+    assert Rng(0).weighted_support([10, 20], [heavy, 1], 2) <= {10, 20}
     with pytest.raises(ValueError):
-        WeightedGroundSet({0: 0})
+        Rng(0).weighted_support([10, 20], [1, 1], 3)
 
 
 # -- trivial basis -----------------------------------------------------

@@ -314,12 +314,77 @@ def test_bench_csv_shape_and_delegation(capsys):
 @pytest.mark.parametrize("argv", [
     ["uso", "generate", "--blocks", "x"],
     ["bench", "--sizes", "0"],
+    ["bench", "--algos", "foo"],
+    ["bench", "--algos", ","],
+    ["bench", "--algos", "clarkson1,foo"],
+    ["probe", "--attempts", "-3"],
+    ["probe", "--attempts", "0"],
 ])
 def test_bad_size_list_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "bad size list" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[-2]}: " in err
+    if argv[-2] in ("--blocks", "--sizes"):
+        assert "bad size list" in err
+    if argv[-2] == "--algos":
+        assert "choose from trivial, clarkson1, clarkson2, auto" in err
+
+
+BAD_NAMES = {
+    "names_int.json": (
+        json.dumps({"points": ["p"], "constraints": [[0]], "names": 5}),
+        '"names" must be a list of strings',
+    ),
+    "names_true.json": (
+        json.dumps({"points": ["p"], "constraints": [[0]], "names": True}),
+        '"names" must be a list of strings',
+    ),
+    "names_repeated.json": (
+        json.dumps({"points": ["p"], "constraints": [[0], []], "names": ["a", "a"]}),
+        "names must be unique",
+    ),
+    "explicit_comma.json": (
+        json.dumps({"names": ["a,b"], "violators": {"": ["a,b"], "a,b": []}}),
+        "bad name 'a,b': empty or contains a comma",
+    ),
+    "abstract_unnamed.json": (
+        json.dumps({"names": [""], "values": {"": "0"}, "order": ["0"]}),
+        "bad name '': empty or contains a comma",
+    ),
+    "uso_comma.json": (
+        json.dumps({"blocks": [["a,b"], ["c"]], "outmap": {"a,b,c": []}}),
+        "bad name 'a,b': empty or contains a comma",
+    ),
+    "uso_repeated.json": (
+        json.dumps({"blocks": [[1], ["1"]], "outmap": {}}),
+        "names must be unique",
+    ),
+    "points_repeated.csv": ("name,x,y\na,0,0\na,1,1\n", "names must be unique"),
+    "points_unnamed.csv": ("name,x,y\n,0,0\nb,1,1\n",
+                           "bad name '': empty or contains a comma"),
+    "points_comma.csv": ('name,x,y\n"a,b",0,0\nc,1,1\n',
+                         "bad name 'a,b': empty or contains a comma"),
+    "halfplanes_repeated.csv": ("name,a,b,c\nh,1,1,5\nh,1,2,5\n", "names must be unique"),
+    "member_not_a_name.json": (
+        json.dumps({"names": ["h0"], "violators": {"": [[]], "h0": []}}),
+        "violators of '': unknown constraint name []",
+    ),
+    "no_blocks.json": (json.dumps({"blocks": [], "outmap": {}}),
+                       "every block must be nonempty"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "structure", "sampling"])
+@pytest.mark.parametrize("filename", sorted(BAD_NAMES))
+def test_bad_names_and_empty_blocks_are_parse_errors(capsys, tmp_path, filename, command):
+    text, message = BAD_NAMES[filename]
+    path = tmp_path / filename
+    path.write_text(text)
+    extra = ["--r", "0", "--trials", "1"] if command == "sampling" else []
+    code, out, err = run_cli(capsys, command, path, *extra)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # -- sampling ----------------------------------------------------------------
