@@ -1,11 +1,17 @@
 """Geometric violation oracles: smallest enclosing ball and planar LP.
 
-Both run on exact rational arithmetic.  Boundary cases are the whole
-point of these instances (points on the defining circle, optima on a
-constraint line), so there are no tolerances anywhere: a point violates
-a ball only when its squared distance strictly exceeds the squared
-radius, and a halfplane is violated only when the optimum lies strictly
-outside it.
+Both run on exact integer arithmetic.  Each input is scaled once to
+integers: a point becomes an integer vector P over its own positive
+denominator q, a halfplane row is multiplied by the lcm of its own
+denominators.  Answers stay in homogeneous form (a ball is a centre C/D
+with squared radius R/D**2, an LP optimum is (X/W, Y/W)), so a
+violation test is one cross-multiplied integer comparison and no gcd is
+taken on the hot path.  Boundary cases are the whole point of these
+instances (points on the defining circle, optima on a constraint line),
+so there are no tolerances anywhere: a point violates a ball only when
+its squared distance strictly exceeds the squared radius, and a
+halfplane is violated only when the optimum lies strictly outside it.
+`Scaled` and `Ball` read as the tuples of Fractions they stand for.
 
 Each `violates` query counts as one logical primitive call regardless of
 the internal work; instances may cache their per-subset solution, which
@@ -17,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import ConstraintSet, ViolationOracle
@@ -27,8 +34,7 @@ MAX_BALL_DIM = 10
 # seeds the per-call point shuffle in smallest_enclosing_ball
 _SHUFFLE_SEED = 0x5EB
 
-Point = Tuple[Fraction, ...]
-Ball = Tuple[Point, Fraction]
+Ints = Tuple[int, ...]
 
 
 class UnboundedProblem(Exception):
@@ -40,112 +46,159 @@ class InfeasibleRegion(Exception):
     region; well-formed instances never reach this."""
 
 
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+class _Homogeneous:
+    """Exact values held in integer form.  Unpacks, indexes, compares and
+    hashes as the tuple of Fractions that `fractions()` returns."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self.fractions())
+
+    def __getitem__(self, i):
+        return self.fractions()[i]
+
+    def __eq__(self, other) -> bool:
+        return self.fractions() == other
+
+    def __hash__(self) -> int:
+        return hash(self.fractions())
+
+    def __repr__(self) -> str:
+        return repr(self.fractions())
+
+
+class Scaled(_Homogeneous):
+    """The rationals N[i] / q, with integers N and q > 0: a point, a
+    halfplane row (whose q the oracles ignore) or an LP vertex."""
+
+    __slots__ = ("N", "q")
+
+    def __init__(self, N: Ints, q: int):
+        self.N, self.q = N, q
+
+    @classmethod
+    def of(cls, values: Sequence) -> "Scaled":
+        """The least common denominator q of `values` and N = q * values."""
+        fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+        q = lcm(*(x.denominator for x in fr))
+        return cls(tuple(x.numerator * (q // x.denominator) for x in fr), q)
+
+    def fractions(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.q) for x in self.N)
+
+
+class Ball(_Homogeneous):
+    """Centre C/D and squared radius R/D**2, with D > 0; reads as
+    (centre, r2)."""
+
+    __slots__ = ("C", "D", "R")
+
+    def __init__(self, C: Ints, D: int, R: int):
+        self.C, self.D, self.R = C, D, R
+
+    def fractions(self) -> Tuple[Tuple[Fraction, ...], Fraction]:
+        D = self.D
+        return tuple(Fraction(c, D) for c in self.C), Fraction(self.R, D * D)
+
+    def excludes(self, p: Scaled) -> bool:
+        """p lies strictly outside: |D*P - q*C|**2 > R*q**2."""
+        D, q = self.D, p.q
+        s = 0
+        for x, c in zip(p.N, self.C):
+            t = D * x - q * c
+            s += t * t
+        return s > self.R * q * q
 
 
 @dataclass
 class PointSet:
     """Finite point set in d dimensions with exact coordinates."""
 
-    points: List[Point]
+    points: List[Scaled]
     d: int
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "PointSet":
         if not rows:
             raise ValueError("need at least one point")
-        pts = [tuple(_as_fraction(x) for x in row) for row in rows]
-        d = len(pts[0])
+        pts = [Scaled.of(row) for row in rows]
+        d = len(pts[0].N)
         if d == 0:
             raise ValueError("points need at least one coordinate")
-        if any(len(p) != d for p in pts):
+        if any(len(p.N) != d for p in pts):
             raise ValueError("all points must have the same dimension")
         return cls(points=pts, d=d)
 
 
-def _dist2(p: Point, q: Point) -> Fraction:
-    return sum((a - b) * (a - b) for a, b in zip(p, q))
-
-
-def _circumball(boundary: Sequence[Point]) -> Optional[Ball]:
-    """Smallest ball with all boundary points on its sphere.
-
-    The center is the unique point of the boundary's affine hull
-    equidistant from all of them; solving the Gram system with free
-    variables pinned to zero reaches it even when the points are
-    affinely dependent.
-    """
-    if not boundary:
-        return None
-    p0 = boundary[0]
-    vs = [tuple(a - b for a, b in zip(p, p0)) for p in boundary[1:]]
-    k = len(vs)
-    if k == 0:
-        return p0, Fraction(0)
-    # rows: 2 * v_i . x = |v_i|^2 over lambda with x = sum lambda_j v_j
-    mat = [
-        [2 * sum(vi[t] * vj[t] for t in range(len(p0))) for vj in vs]
-        + [sum(c * c for c in vi)]
-        for vi in vs
-    ]
-    lam = _solve_rational(mat, k)
-    if lam is None:
-        raise ArithmeticError("boundary points admit no common sphere")
-    center = tuple(
-        p0[t] + sum(lam[j] * vs[j][t] for j in range(k)) for t in range(len(p0))
-    )
-    return center, _dist2(center, p0)
-
-
-def _solve_rational(mat: List[List[Fraction]], k: int) -> Optional[List[Fraction]]:
-    """Gaussian elimination over the rationals; free variables become 0.
-    Returns None when the system is inconsistent."""
-    rows = [list(map(Fraction, row)) for row in mat]
-    pivots = []
-    r = 0
+def _solve_integer(rows: List[List[int]]) -> Tuple[List[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of a k x (k+1)
+    integer system: (N, det) with solution N[i] / det.  Every division
+    is exact.  Raises ArithmeticError when the system is singular."""
+    k = len(rows)
+    prev = 1
     for col in range(k):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        pivot = next((i for i in range(col, k) if rows[i][col]), None)
         if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][k]
-    return sol
+            raise ArithmeticError("boundary points admit no common sphere")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        pv = top[col]
+        for i in range(k):
+            if i != col:
+                f = rows[i][col]
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = pv
+    return [row[k] for row in rows], prev
 
 
-def smallest_enclosing_ball(points: Sequence[Point]) -> Ball:
+def _circumball(boundary: Sequence[Scaled]) -> Ball:
+    """Smallest ball with all boundary points P/q on its sphere.
+
+    The centre is p0 + sum mu_j u_j with u_j = q0 P_j - q_j P0, the
+    direction of p_j - p0 = u_j / (q0 q_j); being equidistant from p0
+    and p_j reads 2 q0 q_j u_j . x = |u_j|**2.  The boundary must be
+    affinely independent, as Welzl's recursion keeps it.
+    """
+    P0, q0 = boundary[0].N, boundary[0].q
+    us = [(tuple(q0 * a - p.q * b for a, b in zip(p.N, P0)), q0 * p.q) for p in boundary[1:]]
+    if not us:
+        return Ball(P0, q0, 0)
+    mat = [
+        [2 * s * sum(a * b for a, b in zip(u, v)) for v, _ in us] + [sum(a * a for a in u)]
+        for u, s in us
+    ]
+    N, det = _solve_integer(mat)
+    U = [sum(n * u[t] for n, (u, _) in zip(N, us)) for t in range(len(P0))]
+    if det < 0:
+        det, U = -det, [-x for x in U]
+    C = [det * a + q0 * x for a, x in zip(P0, U)]
+    D = q0 * det
+    R = q0 * q0 * sum(x * x for x in U)
+    return Ball(tuple(C), D, R)
+
+
+def smallest_enclosing_ball(points: Sequence[Sequence]) -> Ball:
     """Exact smallest enclosing ball via Welzl's algorithm.
 
-    The point order is shuffled deterministically per call; the ball
-    itself is unique, so the answer does not depend on the order.  A
-    level recurses only when a point joins the boundary: depth <= d + 2.
+    Points are `Scaled` or sequences of rationals.  The point order is
+    shuffled deterministically per call; the ball itself is unique, so
+    the answer does not depend on the order.  A level recurses only when
+    a point joins the boundary: depth <= d + 2.
     """
-    pts = list(points)
+    pts = [p if isinstance(p, Scaled) else Scaled.of(p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
-    d = len(pts[0])
+    d = len(pts[0].N)
     random.Random(_SHUFFLE_SEED ^ len(pts)).shuffle(pts)
 
-    def md(i: int, boundary: List[Point]) -> Optional[Ball]:
-        ball = _circumball(boundary)
+    def md(i: int, boundary: List[Scaled]) -> Optional[Ball]:
+        ball = _circumball(boundary) if boundary else None
         if len(boundary) == d + 1:
             return ball
         for j in range(i):
             p = pts[j]
-            if ball is None or _dist2(p, ball[0]) > ball[1]:
+            if ball is None or ball.excludes(p):
                 ball = md(j, boundary + [p])
         return ball
 
@@ -182,16 +235,10 @@ class MiniballOracle(ViolationOracle):
     def _violates(self, G: ConstraintSet, h: int) -> bool:
         if not G:
             return True
-        center, r2 = self.ball_of(G)
-        return _dist2(self.point_set.points[h], center) > r2
+        return self.ball_of(G).excludes(self.point_set.points[h])
 
 
-Halfplane = Tuple[Fraction, Fraction, Fraction]
-
-POSITIVE_ORTHANT: Tuple[Halfplane, ...] = (
-    (Fraction(-1), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(-1), Fraction(0)),
-)
+POSITIVE_ORTHANT: Tuple[Scaled, ...] = (Scaled((-1, 0, 0), 1), Scaled((0, -1, 0), 1))
 
 
 @dataclass
@@ -200,63 +247,71 @@ class HalfplaneLp:
 
     The implicit constraints (positive orthant by default) sit outside
     the ground set and must leave the objective bounded and the region
-    nonempty on their own.
+    nonempty on their own.  A halfplane's integer row `N` is the same
+    halfplane scaled by the lcm of its denominators.
     """
 
-    halfplanes: List[Halfplane]
-    implicit: Tuple[Halfplane, ...] = POSITIVE_ORTHANT
+    halfplanes: List[Scaled]
+    implicit: Tuple[Scaled, ...] = POSITIVE_ORTHANT
 
     @classmethod
     def from_rows(
         cls, rows: Sequence[Sequence], implicit: Sequence[Sequence] = POSITIVE_ORTHANT
     ) -> "HalfplaneLp":
-        hp = [tuple(_as_fraction(x) for x in row) for row in rows]
-        imp = tuple(tuple(_as_fraction(x) for x in row) for row in implicit)
-        if any(len(h) != 3 for h in hp) or any(len(h) != 3 for h in imp):
+        hp = [Scaled.of(row) for row in rows]
+        imp = tuple(Scaled.of(row) for row in implicit)
+        if any(len(h.N) != 3 for h in hp) or any(len(h.N) != 3 for h in imp):
             raise ValueError("halfplanes are (a, b, c) triples")
-        if any(h[0] == 0 and h[1] == 0 for h in hp + list(imp)):
+        if any(h.N[0] == 0 and h.N[1] == 0 for h in hp + list(imp)):
             raise ValueError("halfplane needs a nonzero normal")
         return cls(halfplanes=hp, implicit=imp)
 
 
-def _lex_optimum(constraints: Sequence[Halfplane]) -> Tuple[Fraction, Fraction]:
-    """Lexicographic (y, then x) minimum over an intersection of
-    halfplanes, by exact vertex enumeration.
+def _lex_optimum(constraints: Sequence[Ints]) -> Scaled:
+    """Lexicographic (y, then x) minimum over an intersection of integer
+    halfplanes a*x + b*y <= c, by exact vertex enumeration.
 
     Raises UnboundedProblem when the recession cone contains a
     lexicographically decreasing direction, InfeasibleRegion when the
     intersection is empty.  Otherwise the optimum is attained at the
-    crossing of two constraint boundaries.
+    crossing of two constraint boundaries.  A vertex (X/W, Y/W) is
+    feasible iff a*X + b*Y <= c*W for every row; one that is not below
+    the best so far is skipped before that scan.
     """
-    dirs = [(Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(0))]
+    dirs = [(0, -1), (-1, 0)]
     for a, b, _ in constraints:
         dirs.append((b, -a))
         dirs.append((-b, a))
     for dx, dy in dirs:
-        if dx == 0 and dy == 0:
-            continue
         if dy > 0 or (dy == 0 and dx >= 0):
             continue
         if all(a * dx + b * dy <= 0 for a, b, _ in constraints):
             raise UnboundedProblem("objective decreases along a feasible ray")
 
-    best: Optional[Tuple[Fraction, Fraction]] = None
+    best: Optional[Tuple[int, int, int]] = None
     m = len(constraints)
     for i in range(m):
         a1, b1, c1 = constraints[i]
         for j in range(i + 1, m):
             a2, b2, c2 = constraints[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
+            W = a1 * b2 - a2 * b1
+            if W == 0:
                 continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (a1 * c2 - a2 * c1) / det
-            if all(a * x + b * y <= c for a, b, c in constraints):
-                if best is None or (y, x) < (best[1], best[0]):
-                    best = (x, y)
+            X = c1 * b2 - c2 * b1
+            Y = a1 * c2 - a2 * c1
+            if W < 0:
+                X, Y, W = -X, -Y, -W
+            if best is not None:
+                bX, bY, bW = best
+                lhs, rhs = Y * bW, bY * W
+                if lhs > rhs or (lhs == rhs and X * bW >= bX * W):
+                    continue
+            if all(a * X + b * Y <= c * W for a, b, c in constraints):
+                best = (X, Y, W)
     if best is None:
         raise InfeasibleRegion("no feasible vertex: the region is empty")
-    return best
+    X, Y, W = best
+    return Scaled((X, Y), W)
 
 
 class Lp2dOracle(ViolationOracle):
@@ -265,19 +320,21 @@ class Lp2dOracle(ViolationOracle):
     def __init__(self, lp: HalfplaneLp, names: Optional[Sequence[str]] = None):
         super().__init__(len(lp.halfplanes), 2, names=names)
         self.lp = lp
+        self._implicit = [h.N for h in lp.implicit]
         # fail fast when the implicit region alone is unbounded or empty
-        _lex_optimum(lp.implicit)
-        self._opt_cache: Dict[int, Tuple[Fraction, Fraction]] = {}
+        _lex_optimum(self._implicit)
+        self._opt_cache: Dict[int, Scaled] = {}
 
-    def optimum_of(self, G: ConstraintSet) -> Tuple[Fraction, Fraction]:
+    def optimum_of(self, G: ConstraintSet) -> Scaled:
         cached = self._opt_cache.get(G.mask)
         if cached is None:
-            active = list(self.lp.implicit) + [self.lp.halfplanes[i] for i in G]
-            cached = _lex_optimum(active)
+            halfplanes = self.lp.halfplanes
+            cached = _lex_optimum(self._implicit + [halfplanes[i].N for i in G])
             self._opt_cache[G.mask] = cached
         return cached
 
     def _violates(self, G: ConstraintSet, h: int) -> bool:
-        x, y = self.optimum_of(G)
-        a, b, c = self.lp.halfplanes[h]
-        return a * x + b * y > c
+        opt = self.optimum_of(G)
+        a, b, c = self.lp.halfplanes[h].N
+        X, Y = opt.N
+        return a * X + b * Y > c * opt.q

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 
@@ -412,6 +413,34 @@ def test_sampling_on_1200_points_does_not_overflow_the_stack(capsys, tmp_path):
     )
     assert (code, err) == (0, "")
     assert "r: 1100" in out
+
+
+def _coprime_denominators(count, digits=40):
+    """Pairwise-coprime integers of `digits` digits: each one is coprime
+    to the product of those before it."""
+    found, product = [], 1
+    x = 10 ** (digits - 1) + 1
+    while len(found) < count:
+        if math.gcd(x, product) == 1:
+            found.append(x)
+            product *= x
+        x += 2
+    return found
+
+
+def test_sampling_scales_each_point_by_its_own_denominator(capsys, tmp_path):
+    # one common denominator for the whole set would have 12000 digits
+    rnd = random.Random(40)
+    path = tmp_path / "points.csv"
+    path.write_text("name,x,y\n" + "".join(
+        f"p{i},{rnd.randrange(q)}/{q},{rnd.randrange(q)}/{q}\n"
+        for i, q in enumerate(_coprime_denominators(300))
+    ))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sampling", path, "--r", "150", "--trials", "2")
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    assert "r: 150" in out
 
 
 # -- probe -------------------------------------------------------------------

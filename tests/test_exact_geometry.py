@@ -1,0 +1,341 @@
+"""The integer homogeneous kernels of `instances` against Fraction ones.
+
+The `ref_*` functions are the rational-arithmetic kernels the integer
+ones replaced, kept here as the reference: balls, optima, raised errors
+and every violation test must agree with them exactly.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from violator_spaces import (
+    ConstraintSet,
+    HalfplaneLp,
+    InfeasibleRegion,
+    Lp2dOracle,
+    MiniballOracle,
+    PointSet,
+    UnboundedProblem,
+    smallest_enclosing_ball,
+)
+from violator_spaces.instances import _circumball, _lex_optimum, _solve_integer
+
+
+# -- Fraction reference kernels -----------------------------------------
+
+
+def ref_dist2(p, q):
+    return sum((a - b) * (a - b) for a, b in zip(p, q))
+
+
+def ref_solve_rational(mat, k):
+    """Gaussian elimination over the rationals; free variables become 0.
+    Returns None when the system is inconsistent."""
+    rows = [list(map(Fraction, row)) for row in mat]
+    pivots = []
+    r = 0
+    for col in range(k):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][col]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    for i in range(r, len(rows)):
+        if rows[i][k] != 0:
+            return None
+    sol = [Fraction(0)] * k
+    for i, col in enumerate(pivots):
+        sol[col] = rows[i][k]
+    return sol
+
+
+def ref_circumball(boundary):
+    """Smallest ball with all boundary points on its sphere, or None."""
+    if not boundary:
+        return None
+    p0 = boundary[0]
+    vs = [tuple(a - b for a, b in zip(p, p0)) for p in boundary[1:]]
+    k = len(vs)
+    if k == 0:
+        return p0, Fraction(0)
+    mat = [
+        [2 * sum(vi[t] * vj[t] for t in range(len(p0))) for vj in vs]
+        + [sum(c * c for c in vi)]
+        for vi in vs
+    ]
+    lam = ref_solve_rational(mat, k)
+    if lam is None:
+        raise ArithmeticError("boundary points admit no common sphere")
+    center = tuple(
+        p0[t] + sum(lam[j] * vs[j][t] for j in range(k)) for t in range(len(p0))
+    )
+    return center, ref_dist2(center, p0)
+
+
+def ref_smallest_enclosing_ball(points):
+    """Welzl's algorithm on Fractions, with the library's point shuffle."""
+    pts = list(points)
+    d = len(pts[0])
+    random.Random(0x5EB ^ len(pts)).shuffle(pts)
+
+    def md(i, boundary):
+        ball = ref_circumball(boundary)
+        if len(boundary) == d + 1:
+            return ball
+        for j in range(i):
+            p = pts[j]
+            if ball is None or ref_dist2(p, ball[0]) > ball[1]:
+                ball = md(j, boundary + [p])
+        return ball
+
+    return md(len(pts), [])
+
+
+def ref_lex_optimum(constraints):
+    """Lexicographic (y, then x) minimum by Fraction vertex enumeration."""
+    dirs = [(Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(0))]
+    for a, b, _ in constraints:
+        dirs.append((b, -a))
+        dirs.append((-b, a))
+    for dx, dy in dirs:
+        if dx == 0 and dy == 0:
+            continue
+        if dy > 0 or (dy == 0 and dx >= 0):
+            continue
+        if all(a * dx + b * dy <= 0 for a, b, _ in constraints):
+            raise UnboundedProblem("objective decreases along a feasible ray")
+    best = None
+    m = len(constraints)
+    for i in range(m):
+        a1, b1, c1 = constraints[i]
+        for j in range(i + 1, m):
+            a2, b2, c2 = constraints[j]
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            x = (c1 * b2 - c2 * b1) / det
+            y = (a1 * c2 - a2 * c1) / det
+            if all(a * x + b * y <= c for a, b, c in constraints):
+                if best is None or (y, x) < (best[1], best[0]):
+                    best = (x, y)
+    if best is None:
+        raise InfeasibleRegion("no feasible vertex: the region is empty")
+    return best
+
+
+# -- point sets -----------------------------------------------------------
+
+
+def _rational(rnd, lo=-30, hi=30):
+    return Fraction(rnd.randint(lo, hi), rnd.randint(1, 9))
+
+
+def _on_sphere(rnd, d):
+    """A rational point on a sphere of radius 5 about (1, ..., 1):
+    inverse stereographic projection of a rational point of Q^(d-1)."""
+    u = [_rational(rnd, -6, 6) for _ in range(d - 1)]
+    s = sum(x * x for x in u)
+    unit = [2 * x / (s + 1) for x in u] + [(s - 1) / (s + 1)]
+    return [1 + 5 * x for x in unit]
+
+
+def _point_sets(seed, d, count, max_n):
+    """Seeded point sets of every kind: integer, p/q, with duplicates,
+    collinear, cospherical and on a small grid."""
+    rnd = random.Random(seed)
+    sets = []
+    for k in range(count):
+        n = rnd.randint(1, max_n)
+        kind = k % 6
+        if kind == 0:
+            rows = [[rnd.randint(-20, 20) for _ in range(d)] for _ in range(n)]
+        elif kind == 1:
+            rows = [[_rational(rnd) for _ in range(d)] for _ in range(n)]
+        elif kind == 2:
+            base = [[_rational(rnd) for _ in range(d)] for _ in range(max(1, n // 2))]
+            rows = [rnd.choice(base) for _ in range(n)]
+        elif kind == 3:
+            p0 = [_rational(rnd) for _ in range(d)]
+            v = [rnd.randint(-3, 3) for _ in range(d)]
+            rows = [[a + t * b for a, b in zip(p0, v)]
+                    for t in (_rational(rnd, -5, 5) for _ in range(n))]
+        elif kind == 4:
+            rows = [_on_sphere(rnd, d) if d > 1 else [rnd.choice([-4, 6])] for _ in range(n)]
+        else:
+            rows = [[rnd.randint(0, 2) for _ in range(d)] for _ in range(n)]
+        sets.append([tuple(Fraction(x) for x in row) for row in rows])
+    return sets
+
+
+@pytest.mark.parametrize("d, count, max_n", [(1, 60, 10), (2, 120, 14), (3, 90, 12),
+                                             (4, 60, 10), (10, 18, 14)])
+def test_balls_equal_the_fraction_reference(d, count, max_n):
+    for pts in _point_sets(1000 + d, d, count, max_n):
+        ball = smallest_enclosing_ball(pts)
+        center, r2 = ref_smallest_enclosing_ball(pts)
+        assert ball == (center, r2) and tuple(ball) == (center, r2)
+        assert ball.D > 0
+        # the homogeneous form is the same ball
+        assert all(Fraction(c, ball.D) == x for c, x in zip(ball.C, center))
+        assert Fraction(ball.R, ball.D ** 2) == r2
+
+
+def _rank(vectors):
+    rows = [list(map(Fraction, v)) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_circumball_equals_the_fraction_reference_and_rejects_singular_boundaries():
+    rnd = random.Random(71)
+    independent = 0
+    for k in range(600):
+        d = rnd.randint(1, 4)
+        size = rnd.randint(1, d + 1)
+        pool = [tuple(_rational(rnd, -3, 3) for _ in range(d)) for _ in range(size)]
+        # every fourth boundary repeats a point or sits on a line
+        rows = [rnd.choice(pool) for _ in range(size)] if k % 4 == 0 else pool
+        hom = PointSet.from_rows(rows).points
+        if _rank([tuple(a - b for a, b in zip(p, rows[0])) for p in rows[1:]]) < size - 1:
+            with pytest.raises(ArithmeticError):
+                _circumball(hom)
+            continue
+        assert _circumball(hom) == ref_circumball(rows)
+        independent += 1
+    assert 300 < independent < 600
+    collinear = [(0, 0), (1, 1), (3, 3)]
+    with pytest.raises(ArithmeticError):
+        _circumball(PointSet.from_rows(collinear).points)
+
+
+def test_integer_solve_equals_rational_elimination():
+    rnd = random.Random(72)
+    for _ in range(500):
+        k = rnd.randint(1, 6)
+        mat = [[rnd.randint(-9, 9) for _ in range(k + 1)] for _ in range(k)]
+        ref = ref_solve_rational(mat, k)
+        try:
+            N, det = _solve_integer([row[:] for row in mat])
+        except ArithmeticError:
+            continue
+        assert [Fraction(x, det) for x in N] == ref
+
+
+# -- planar LPs -----------------------------------------------------------
+
+
+def _lp_rows(rnd, n):
+    """Halfplanes with rational coefficients, parallel pairs included."""
+    rows = []
+    while len(rows) < n:
+        a, b = _rational(rnd, -4, 4), _rational(rnd, -4, 4)
+        if a == 0 and b == 0:
+            continue
+        rows.append((a, b, _rational(rnd, -20, 40)))
+        if rnd.random() < 0.3:
+            scale = Fraction(rnd.randint(1, 5), rnd.randint(1, 5))
+            rows.append((a * scale, b * scale, _rational(rnd, -20, 40)))
+    return rows[:n]
+
+
+def _outcome(fn, arg):
+    try:
+        return tuple(fn(arg))
+    except (UnboundedProblem, InfeasibleRegion) as exc:
+        return type(exc)
+
+
+def test_lex_optimum_equals_the_fraction_reference():
+    rnd = random.Random(73)
+    seen = set()
+    for _ in range(600):
+        implicit = rnd.choice([
+            [(-1, 0, 0), (0, -1, 0)],
+            [(0, -1, 0)],
+            [(-1, 0, 3), (0, -1, Fraction(-1, 2)), (1, 1, 2)],
+        ])
+        rows = [tuple(map(Fraction, r)) for r in implicit] + _lp_rows(rnd, rnd.randint(0, 8))
+        lp = HalfplaneLp.from_rows(rows[len(implicit):], implicit=rows[:len(implicit)])
+        ref = _outcome(ref_lex_optimum, rows)
+        assert _outcome(_lex_optimum, [h.N for h in lp.implicit + tuple(lp.halfplanes)]) == ref
+        seen.add(ref if isinstance(ref, type) else "optimum")
+    assert seen == {UnboundedProblem, InfeasibleRegion, "optimum"}
+
+
+def test_lp_errors_are_raised_by_the_oracle():
+    with pytest.raises(UnboundedProblem):
+        Lp2dOracle(HalfplaneLp.from_rows([(1, 1, 5)], implicit=[(0, -1, 0)]))
+    # x <= -1/3 conflicts with the positive orthant
+    oracle = Lp2dOracle(HalfplaneLp.from_rows([(1, 0, Fraction(-1, 3)), (1, 1, 5)]))
+    with pytest.raises(InfeasibleRegion):
+        oracle.violates(ConstraintSet.of([0], 2), 1)
+
+
+# -- every query of small instances --------------------------------------
+
+
+def _all_queries(oracle):
+    n = oracle.n
+    return [(ConstraintSet(g, n), h) for g in range(1 << n) for h in range(n) if not g >> h & 1]
+
+
+def test_every_miniball_query_equals_the_reference():
+    sets = [pts for d in (1, 2, 3) for pts in _point_sets(2000 + d, d, 24, 6)]
+    for pts in sets:
+        oracle = MiniballOracle(PointSet.from_rows(pts))
+        for G, h in _all_queries(oracle):
+            if not G:
+                expected = True
+            else:
+                center, r2 = ref_smallest_enclosing_ball([pts[i] for i in G])
+                expected = ref_dist2(pts[h], center) > r2
+                assert oracle.ball_of(G) == (center, r2)
+            assert oracle.violates(G, h) is expected
+
+
+def test_every_lp_query_equals_the_reference():
+    rnd = random.Random(74)
+    for _ in range(30):
+        n = rnd.randint(1, 6)
+        # all halfplanes hold at (3/2, 7/3), so every subset is feasible
+        rows = []
+        for a, b, _ in _lp_rows(rnd, n):
+            rows.append((a, b, a * Fraction(3, 2) + b * Fraction(7, 3) + _rational(rnd, 0, 5)))
+        oracle = Lp2dOracle(HalfplaneLp.from_rows(rows))
+        implicit = list(HalfplaneLp.from_rows(rows).implicit)
+        for G, h in _all_queries(oracle):
+            x, y = ref_lex_optimum(implicit + [rows[i] for i in G])
+            a, b, c = rows[h]
+            assert oracle.optimum_of(G) == (x, y)
+            assert oracle.violates(G, h) is (a * x + b * y > c)
+
+
+def test_answers_read_as_fraction_tuples():
+    ball = smallest_enclosing_ball([(Fraction(1, 3), 0), (1, 0)])
+    center, r2 = ball
+    assert (center, r2) == ((Fraction(2, 3), 0), Fraction(1, 9))
+    assert ball[1] == r2 and hash(ball) == hash((center, r2))
+    assert repr(ball) == repr((center, r2))
+    assert ball == smallest_enclosing_ball([(1, 0), (Fraction(1, 3), 0)])
+    point = PointSet.from_rows([["3/4", Fraction(1, 6), 2]]).points[0]
+    assert point == (Fraction(3, 4), Fraction(1, 6), 2) and (point.N, point.q) == ((9, 2, 24), 12)
+    opt = Lp2dOracle(HalfplaneLp.from_rows([(0, -2, -1)])).optimum_of(ConstraintSet.of([0], 1))
+    assert opt == (0, Fraction(1, 2)) and opt[1] == Fraction(1, 2)

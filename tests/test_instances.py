@@ -17,7 +17,7 @@ from violator_spaces import (
     solve,
     tabulate,
 )
-from violator_spaces.instances import _circumball, _dist2
+from test_exact_geometry import ref_circumball as _circumball, ref_dist2 as _dist2
 
 from conftest import square_space
 
