@@ -116,21 +116,25 @@ def trivial_basis(oracle: ViolationOracle, G: ConstraintSet) -> ConstraintSet:
     lexicographically within one cardinality; the first hit is returned,
     after at most n * sum_{i<=delta} C(n, i) primitive calls.
     """
-    members = sorted(G)
     n = oracle.n
+    violates = oracle.violates
+    members = [(h, 1 << h) for h in G]
     limit = min(oracle.delta, len(members))
     for size in range(limit + 1):
         for combo in combinations(members, size):
-            B = ConstraintSet.of(combo, n)
+            mask = 0
+            for _, bit in combo:
+                mask |= bit
             ok = True
-            for h in combo:
-                if not oracle.violates(B.remove(h), h):
+            for h, bit in combo:
+                if not violates(ConstraintSet(mask ^ bit, n), h):
                     ok = False
                     break
             if not ok:
                 continue
-            for h in members:
-                if h not in B and oracle.violates(B, h):
+            B = ConstraintSet(mask, n)
+            for h, bit in members:
+                if not mask & bit and violates(B, h):
                     ok = False
                     break
             if ok:

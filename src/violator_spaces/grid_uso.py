@@ -342,6 +342,13 @@ class OutmapOracle(ViolationOracle):
     set falls back to a sink scan over its subgrid, which builds the
     per-block member lists and charges one evaluation per membership
     query it makes.
+
+    A member scan asks about one set G for many h, so the oracle keeps
+    the last queried set's classification: (mask, union of the blocks it
+    misses, its vertex or None).  The tuple is replaced by one attribute
+    assignment, so threads sharing the oracle read either the old or the
+    new classification whole.  Only the classification is kept: the
+    charges per query are the same as without it.
     """
 
     def __init__(
@@ -355,6 +362,7 @@ class OutmapOracle(ViolationOracle):
         self._membership = membership
         self._block_masks = partition.block_masks
         self._edge_evals = _Counter()
+        self._last: Tuple[int, int, Optional[Vertex]] = (-1, 0, None)
 
     @property
     def edge_evals(self) -> int:
@@ -366,13 +374,19 @@ class OutmapOracle(ViolationOracle):
 
     def _violates(self, G: ConstraintSet, h: int) -> bool:
         gmask = G.mask
-        block_masks = self._block_masks
-        missing = _missing_blocks(gmask, block_masks)
+        last = self._last
+        if last[0] != gmask:
+            block_masks = self._block_masks
+            missing = _missing_blocks(gmask, block_masks)
+            J = None
+            # the block count, not self.delta, which callers may override
+            if not missing and gmask.bit_count() == len(block_masks):
+                J = tuple((gmask & bm).bit_length() - 1 for bm in block_masks)
+            self._last = last = (gmask, missing, J)
+        _, missing, J = last
         if missing:
             return (missing >> h) & 1 == 1
-        # the block count, not self.delta, which callers may override
-        if gmask.bit_count() == len(block_masks):
-            J = tuple((gmask & bm).bit_length() - 1 for bm in block_masks)
+        if J is not None:
             return self._query(J, h)
         for J in _subgrid(gmask, self.partition):
             is_sink = True

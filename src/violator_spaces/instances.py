@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,7 +32,7 @@ from .core import ConstraintSet, ViolationOracle
 from .explicit import tabulate_oracle as tabulate
 
 MAX_BALL_DIM = 10
-# seeds the per-call point shuffle in smallest_enclosing_ball
+# seeds the point order smallest_enclosing_ball uses for each set size
 _SHUFFLE_SEED = 0x5EB
 
 Ints = Tuple[int, ...]
@@ -178,19 +179,28 @@ def _circumball(boundary: Sequence[Scaled]) -> Ball:
     return Ball(tuple(C), D, R)
 
 
+@lru_cache(maxsize=256)
+def _shuffle_order(k: int) -> Tuple[int, ...]:
+    """The order in which a seeded shuffle leaves k positions, drawn once
+    per k: the seed depends on k alone, and so do the swaps."""
+    order = list(range(k))
+    random.Random(_SHUFFLE_SEED ^ k).shuffle(order)
+    return tuple(order)
+
+
 def smallest_enclosing_ball(points: Sequence[Sequence]) -> Ball:
     """Exact smallest enclosing ball via Welzl's algorithm.
 
-    Points are `Scaled` or sequences of rationals.  The point order is
-    shuffled deterministically per call; the ball itself is unique, so
-    the answer does not depend on the order.  A level recurses only when
-    a point joins the boundary: depth <= d + 2.
+    Points are `Scaled` or sequences of rationals.  They are taken in a
+    fixed shuffled order for each number of points; the ball itself is
+    unique, so the answer does not depend on the order.  A level recurses
+    only when a point joins the boundary: depth <= d + 2.
     """
     pts = [p if isinstance(p, Scaled) else Scaled.of(p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
     d = len(pts[0].N)
-    random.Random(_SHUFFLE_SEED ^ len(pts)).shuffle(pts)
+    pts = [pts[i] for i in _shuffle_order(len(pts))]
 
     def md(i: int, boundary: List[Scaled]) -> Optional[Ball]:
         ball = _circumball(boundary) if boundary else None
@@ -266,6 +276,15 @@ class HalfplaneLp:
             raise ValueError("halfplane needs a nonzero normal")
         return cls(halfplanes=hp, implicit=imp)
 
+    @cached_property
+    def implicit_rows(self) -> Tuple[Ints, ...]:
+        """The implicit integer rows, solved alone once per LP: raises
+        UnboundedProblem or InfeasibleRegion when they leave the
+        objective unbounded or the region empty."""
+        rows = tuple(h.N for h in self.implicit)
+        _lex_optimum(rows)
+        return rows
+
 
 def _lex_optimum(constraints: Sequence[Ints]) -> Scaled:
     """Lexicographic (y, then x) minimum over an intersection of integer
@@ -320,16 +339,15 @@ class Lp2dOracle(ViolationOracle):
     def __init__(self, lp: HalfplaneLp, names: Optional[Sequence[str]] = None):
         super().__init__(len(lp.halfplanes), 2, names=names)
         self.lp = lp
-        self._implicit = [h.N for h in lp.implicit]
-        # fail fast when the implicit region alone is unbounded or empty
-        _lex_optimum(self._implicit)
+        # fails fast when the implicit region alone is unbounded or empty
+        self._implicit = lp.implicit_rows
         self._opt_cache: Dict[int, Scaled] = {}
 
     def optimum_of(self, G: ConstraintSet) -> Scaled:
         cached = self._opt_cache.get(G.mask)
         if cached is None:
             halfplanes = self.lp.halfplanes
-            cached = _lex_optimum(self._implicit + [halfplanes[i].N for i in G])
+            cached = _lex_optimum([*self._implicit, *(halfplanes[i].N for i in G)])
             self._opt_cache[G.mask] = cached
         return cached
 

@@ -111,6 +111,22 @@ def test_delta_hint_validation():
         _ParityOracle(3, 0)
 
 
+def test_counter_reads_past_2_31_ticks():
+    from violator_spaces.core import _Counter
+
+    for start in (2**31 - 1, 2**31 + 7, 2**63 - 2, 2**64 + 3):
+        counter = _Counter(start)
+        assert counter.value == start
+        for _ in range(3):
+            counter.increment()
+        assert counter.value == start + 3
+        assert counter.value == start + 3  # reading takes no tick
+    oracle = _ParityOracle(8, 2)
+    oracle._calls = _Counter(2**31 + 1)
+    oracle.violates(ConstraintSet.of([0], 8), 5)
+    assert oracle.primitive_calls == 2**31 + 2
+
+
 def test_counter_is_safe_under_concurrent_queries():
     import threading
 

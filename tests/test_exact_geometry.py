@@ -189,6 +189,45 @@ def test_balls_equal_the_fraction_reference(d, count, max_n):
         assert Fraction(ball.R, ball.D ** 2) == r2
 
 
+def test_welzl_keeps_the_seeded_shuffle_and_its_circumball_sequence(monkeypatch):
+    import violator_spaces.instances as inst
+
+    calls = []
+
+    def logged(boundary):
+        calls.append(tuple((p.N, p.q) for p in boundary))
+        return _circumball(boundary)
+
+    monkeypatch.setattr(inst, "_circumball", logged)
+
+    def ref_welzl(points):
+        # the earlier entry: a freshly seeded shuffle on every call
+        pts = [inst.Scaled.of(p) for p in points]
+        d = len(pts[0].N)
+        random.Random(0x5EB ^ len(pts)).shuffle(pts)
+
+        def md(i, boundary):
+            ball = logged(boundary) if boundary else None
+            if len(boundary) == d + 1:
+                return ball
+            for j in range(i):
+                if ball is None or ball.excludes(pts[j]):
+                    ball = md(j, boundary + [pts[j]])
+            return ball
+
+        return md(len(pts), [])
+
+    for d in (1, 2, 3):
+        # the same lengths come back, so later calls reuse a drawn order
+        for pts in _point_sets(2000 + d, d, 60, 12) * 2:
+            calls.clear()
+            ball = smallest_enclosing_ball(pts)
+            got = list(calls)
+            calls.clear()
+            assert ball == ref_welzl(pts)
+            assert got == calls and got
+
+
 def _rank(vectors):
     rows = [list(map(Fraction, v)) for v in vectors]
     rank = 0
@@ -287,6 +326,33 @@ def test_lp_errors_are_raised_by_the_oracle():
     oracle = Lp2dOracle(HalfplaneLp.from_rows([(1, 0, Fraction(-1, 3)), (1, 1, 5)]))
     with pytest.raises(InfeasibleRegion):
         oracle.violates(ConstraintSet.of([0], 2), 1)
+
+
+def test_implicit_region_is_solved_once_per_lp(monkeypatch):
+    import violator_spaces.instances as inst
+
+    solved = []
+
+    def counted(rows):
+        solved.append(len(rows))
+        return _lex_optimum(rows)
+
+    monkeypatch.setattr(inst, "_lex_optimum", counted)
+    lp = HalfplaneLp.from_rows([(1, 1, 5), (-1, 2, 7)])
+    first, second = Lp2dOracle(lp), Lp2dOracle(lp)
+    assert solved == [2]
+    G = ConstraintSet.of([0], 2)
+    assert first.violates(G, 1) == second.violates(G, 1)
+    assert solved == [2, 3, 3]
+    # a failing region is not kept: every oracle over it raises
+    bad = HalfplaneLp.from_rows([(1, 1, 5)], implicit=[(0, -1, 0)])
+    for _ in range(2):
+        with pytest.raises(UnboundedProblem, match="feasible ray"):
+            Lp2dOracle(bad)
+    empty = HalfplaneLp.from_rows([(1, 1, 5)], implicit=[(1, 0, -1), (-1, 0, -1), (0, -1, 0)])
+    for _ in range(2):
+        with pytest.raises(InfeasibleRegion):
+            Lp2dOracle(empty)
 
 
 # -- every query of small instances --------------------------------------

@@ -290,6 +290,58 @@ def test_lazy_coordinate_oracle_matches_dense():
         assert dense.edge_evals == lazy.edge_evals
 
 
+
+def test_oracle_answers_exactly_under_concurrent_queries():
+    import sys
+    import threading
+
+    u = random_uso(GridPartition.uniform([3, 2, 2]), Rng(5))
+    # consecutive queries of one thread ask about different sets
+    queries = [
+        (ConstraintSet(g, u.n), h)
+        for h in range(u.n)
+        for g in range(1 << u.n)
+        if not (g >> h) & 1
+    ]
+    expected = [h in uso_violators(u, G) for G, h in queries]
+    reference = uso_oracle(u)
+    for G, h in queries:
+        reference.violates(G, h)
+    oracle = uso_oracle(u)
+    rounds, wrong = 20, []
+
+    def worker(offset):
+        # each thread starts elsewhere, so the threads keep replacing
+        # each other's last set
+        order = list(range(offset, len(queries))) + list(range(offset))
+        for _ in range(rounds):
+            for i in order:
+                G, h = queries[i]
+                try:
+                    if oracle.violates(G, h) != expected[i]:
+                        wrong.append((G.mask, h))
+                except AssertionError as exc:  # a torn classification
+                    wrong.append((G.mask, h, str(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(t * len(queries) // 8,))
+            for t in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert oracle.primitive_calls == 8 * rounds * len(queries)
+    assert oracle.edge_evals == 8 * rounds * reference.edge_evals
+
+
 # -- the reduction, end to end -------------------------------------------
 
 
