@@ -1,5 +1,11 @@
 """Geometric violation oracles: smallest enclosing ball and planar LP.
 
+The ball comes from Welzl's algorithm with move-to-front, the LP
+optimum from Seidel's randomized incremental algorithm in expected O(m)
+for m rows.  Both take their input in a fixed seeded order, so every
+run does the same work, and both answers are unique, so the order never
+shows in them.
+
 Both run on exact integer arithmetic.  Each input is scaled once to
 integers: a point becomes an integer vector P over its own positive
 denominator q, a halfplane row is multiplied by the lcm of its own
@@ -32,7 +38,7 @@ from .core import ConstraintSet, ViolationOracle
 from .explicit import tabulate_oracle as tabulate
 
 MAX_BALL_DIM = 10
-# seeds the point order smallest_enclosing_ball uses for each set size
+# seeds the input order of smallest_enclosing_ball and _lex_optimum per size
 _SHUFFLE_SEED = 0x5EB
 
 Ints = Tuple[int, ...]
@@ -189,12 +195,16 @@ def _shuffle_order(k: int) -> Tuple[int, ...]:
 
 
 def smallest_enclosing_ball(points: Sequence[Sequence]) -> Ball:
-    """Exact smallest enclosing ball via Welzl's algorithm.
+    """Exact smallest enclosing ball via Welzl's algorithm with
+    move-to-front (Gaertner, ESA 1999).
 
-    Points are `Scaled` or sequences of rationals.  They are taken in a
-    fixed shuffled order for each number of points; the ball itself is
-    unique, so the answer does not depend on the order.  A level recurses
-    only when a point joins the boundary: depth <= d + 2.
+    Points are `Scaled` or sequences of rationals.  They start in a fixed
+    shuffled order for each number of points; a point found outside the
+    ball joins the boundary and then moves to the front of this call's
+    own list, so later scans meet the points that define the ball first.
+    The ball itself is unique, so the answer does not depend on the
+    order.  A level recurses only when a point joins the boundary:
+    depth <= d + 2.
     """
     pts = [p if isinstance(p, Scaled) else Scaled.of(p) for p in points]
     if not pts:
@@ -210,6 +220,8 @@ def smallest_enclosing_ball(points: Sequence[Sequence]) -> Ball:
             p = pts[j]
             if ball is None or ball.excludes(p):
                 ball = md(j, boundary + [p])
+                # pts[:j] only permuted inside md, so p is still at j
+                pts.insert(0, pts.pop(j))
         return ball
 
     ball = md(len(pts), [])
@@ -288,14 +300,18 @@ class HalfplaneLp:
 
 def _lex_optimum(constraints: Sequence[Ints]) -> Scaled:
     """Lexicographic (y, then x) minimum over an intersection of integer
-    halfplanes a*x + b*y <= c, by exact vertex enumeration.
+    halfplanes a*x + b*y <= c, by Seidel's randomized incremental LP
+    (DCG 1991): expected O(m) for m rows.
 
     Raises UnboundedProblem when the recession cone contains a
-    lexicographically decreasing direction, InfeasibleRegion when the
-    intersection is empty.  Otherwise the optimum is attained at the
-    crossing of two constraint boundaries.  A vertex (X/W, Y/W) is
-    feasible iff a*X + b*Y <= c*W for every row; one that is not below
-    the best so far is skipped before that scan.
+    lexicographically decreasing direction; this is decided from the
+    normals alone, before feasibility.  Otherwise two rows bound the
+    objective on their own: the normals nearest to the descent direction
+    on either side of it (de Berg et al., ch. 4).  Their crossing starts
+    the walk, and the other rows follow in a fixed shuffled order.  A
+    vertex (X/W, Y/W), W > 0, violates a row iff a*X + b*Y > c*W; the
+    new optimum then lies on that row's line, where `_lex_on_line`
+    finds it against the rows taken so far, or raises InfeasibleRegion.
     """
     dirs = [(0, -1), (-1, 0)]
     for a, b, _ in constraints:
@@ -307,30 +323,80 @@ def _lex_optimum(constraints: Sequence[Ints]) -> Scaled:
         if all(a * dx + b * dy <= 0 for a, b, _ in constraints):
             raise UnboundedProblem("objective decreases along a feasible ray")
 
-    best: Optional[Tuple[int, int, int]] = None
-    m = len(constraints)
-    for i in range(m):
-        a1, b1, c1 = constraints[i]
-        for j in range(i + 1, m):
-            a2, b2, c2 = constraints[j]
-            W = a1 * b2 - a2 * b1
-            if W == 0:
-                continue
-            X = c1 * b2 - c2 * b1
-            Y = a1 * c2 - a2 * c1
-            if W < 0:
-                X, Y, W = -X, -Y, -W
-            if best is not None:
-                bX, bY, bW = best
-                lhs, rhs = Y * bW, bY * W
-                if lhs > rhs or (lhs == rhs and X * bW >= bX * W):
-                    continue
-            if all(a * X + b * Y <= c * W for a, b, c in constraints):
-                best = (X, Y, W)
-    if best is None:
-        raise InfeasibleRegion("no feasible vertex: the region is empty")
-    X, Y, W = best
+    # The descent direction is (-eps, -1).  A normal (a, b) lies left of
+    # it iff a > 0 or (a == 0 and b < 0); the nearest one on each side is
+    # the one its rivals lie beyond, by the sign of their cross product.
+    # The recession test above leaves both sides nonempty.
+    left = right = None
+    la = lb = ra = rb = 0
+    for k, (a, b, _) in enumerate(constraints):
+        if a > 0 or (a == 0 and b < 0):
+            if left is None or la * b < lb * a:
+                left, la, lb = k, a, b
+        elif right is None or ra * b > rb * a:
+            right, ra, rb = k, a, b
+    taken = [constraints[left], constraints[right]]
+    X, Y, W = _crossing(*taken)
+    for k in _shuffle_order(len(constraints)):
+        if k == left or k == right:
+            continue
+        row = constraints[k]
+        a, b, c = row
+        if a * X + b * Y > c * W:
+            X, Y, W = _crossing(row, _lex_on_line(row, taken))
+        taken.append(row)
     return Scaled((X, Y), W)
+
+
+def _crossing(r1: Ints, r2: Ints) -> Tuple[int, int, int]:
+    """The crossing (X/W, Y/W), W > 0, of two nonparallel row lines."""
+    a1, b1, c1 = r1
+    a2, b2, c2 = r2
+    W = a1 * b2 - a2 * b1
+    X = c1 * b2 - c2 * b1
+    Y = a1 * c2 - a2 * c1
+    return (X, Y, W) if W > 0 else (-X, -Y, -W)
+
+
+def _lex_on_line(row: Ints, taken: Sequence[Ints]) -> Ints:
+    """The row of `taken` whose line bounds the lexicographic minimum of
+    `taken` on the line of `row`.
+
+    The line is (px, py)/q + s*(dx, dy) with q = a*a + b*b > 0 and
+    (px, py) = c*(a, b), and (dx, dy) is the line direction along which
+    (y, then x) decreases, so the minimum has the largest feasible s.  A
+    taken row bounds s by e * s <= num / q: an upper bound when e > 0
+    and a lower one when e < 0.  q is common to all bounds, so they
+    compare as the cross-multiplied fractions num / e, signs flipped to
+    make every denominator positive.  A parallel row (e == 0) holds on
+    the whole line or on none of it.  `taken` bounds the objective, so
+    an upper bound exists.
+    """
+    a, b, c = row
+    if a > 0 or (a == 0 and b < 0):
+        dx, dy = b, -a
+    else:
+        dx, dy = -b, a
+    q = a * a + b * b
+    px, py = c * a, c * b
+    hi_row, hi_num, hi_den = None, 0, 1
+    lo_num, lo_den = None, 1
+    for r in taken:
+        a2, b2, c2 = r
+        e = a2 * dx + b2 * dy
+        num = c2 * q - a2 * px - b2 * py
+        if e > 0:
+            if hi_row is None or num * hi_den < hi_num * e:
+                hi_row, hi_num, hi_den = r, num, e
+        elif e < 0:
+            num, e = -num, -e
+            if lo_num is None or num * lo_den > lo_num * e:
+                lo_num, lo_den = num, e
+        elif num < 0:
+            raise InfeasibleRegion("no feasible vertex: the region is empty")
+    if lo_num is not None and lo_num * hi_den > hi_num * lo_den:
+        raise InfeasibleRegion("no feasible vertex: the region is empty")
+    return hi_row
 
 
 class Lp2dOracle(ViolationOracle):

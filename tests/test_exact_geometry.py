@@ -6,9 +6,12 @@ and every violation test must agree with them exactly.
 """
 
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from violator_spaces import (
     ConstraintSet,
@@ -20,7 +23,9 @@ from violator_spaces import (
     UnboundedProblem,
     smallest_enclosing_ball,
 )
-from violator_spaces.instances import _circumball, _lex_optimum, _solve_integer
+from violator_spaces.instances import (
+    _circumball, _lex_optimum, _shuffle_order, _solve_integer,
+)
 
 
 # -- Fraction reference kernels -----------------------------------------
@@ -101,7 +106,8 @@ def ref_smallest_enclosing_ball(points):
 
 
 def ref_lex_optimum(constraints):
-    """Lexicographic (y, then x) minimum by Fraction vertex enumeration."""
+    """Lexicographic (y, then x) minimum by Fraction vertex enumeration:
+    the lowest of all pairwise crossings that every row admits."""
     dirs = [(Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(0))]
     for a, b, _ in constraints:
         dirs.append((b, -a))
@@ -113,7 +119,7 @@ def ref_lex_optimum(constraints):
             continue
         if all(a * dx + b * dy <= 0 for a, b, _ in constraints):
             raise UnboundedProblem("objective decreases along a feasible ray")
-    best = None
+    vertices = set()
     m = len(constraints)
     for i in range(m):
         a1, b1, c1 = constraints[i]
@@ -122,14 +128,12 @@ def ref_lex_optimum(constraints):
             det = a1 * b2 - a2 * b1
             if det == 0:
                 continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (a1 * c2 - a2 * c1) / det
-            if all(a * x + b * y <= c for a, b, c in constraints):
-                if best is None or (y, x) < (best[1], best[0]):
-                    best = (x, y)
-    if best is None:
-        raise InfeasibleRegion("no feasible vertex: the region is empty")
-    return best
+            vertices.add(((a1 * c2 - a2 * c1) / det, (c1 * b2 - c2 * b1) / det))
+    # the lowest feasible vertex, by y and then x
+    for y, x in sorted(vertices):
+        if all(a * x + b * y <= c for a, b, c in constraints):
+            return x, y
+    raise InfeasibleRegion("no feasible vertex: the region is empty")
 
 
 # -- point sets -----------------------------------------------------------
@@ -189,43 +193,61 @@ def test_balls_equal_the_fraction_reference(d, count, max_n):
         assert Fraction(ball.R, ball.D ** 2) == r2
 
 
-def test_welzl_keeps_the_seeded_shuffle_and_its_circumball_sequence(monkeypatch):
+def _old_scan_circumballs(points):
+    """_circumball calls of Welzl's scan without move-to-front, from the
+    same seeded order: the kernel move-to-front replaced."""
+    pts = PointSet.from_rows(points).points
+    d = len(pts[0].N)
+    pts = [pts[i] for i in _shuffle_order(len(pts))]
+    calls = 0
+
+    def md(i, boundary):
+        nonlocal calls
+        ball = None
+        if boundary:
+            calls += 1
+            ball = _circumball(boundary)
+        if len(boundary) == d + 1:
+            return ball
+        for j in range(i):
+            if ball is None or ball.excludes(pts[j]):
+                ball = md(j, boundary + [pts[j]])
+        return ball
+
+    md(len(pts), [])
+    return calls
+
+
+def test_move_to_front_welzl_is_exact_shallow_and_no_costlier(monkeypatch):
     import violator_spaces.instances as inst
 
-    calls = []
+    depths = []
 
     def logged(boundary):
-        calls.append(tuple((p.N, p.q) for p in boundary))
+        frame, depth = sys._getframe(1), 0
+        while frame is not None:
+            code = frame.f_code
+            depth += code.co_name == "md" and code.co_filename == inst.__file__
+            frame = frame.f_back
+        depths.append(depth)
         return _circumball(boundary)
 
     monkeypatch.setattr(inst, "_circumball", logged)
-
-    def ref_welzl(points):
-        # the earlier entry: a freshly seeded shuffle on every call
-        pts = [inst.Scaled.of(p) for p in points]
-        d = len(pts[0].N)
-        random.Random(0x5EB ^ len(pts)).shuffle(pts)
-
-        def md(i, boundary):
-            ball = logged(boundary) if boundary else None
-            if len(boundary) == d + 1:
-                return ball
-            for j in range(i):
-                if ball is None or ball.excludes(pts[j]):
-                    ball = md(j, boundary + [pts[j]])
-            return ball
-
-        return md(len(pts), [])
-
-    for d in (1, 2, 3):
-        # the same lengths come back, so later calls reuse a drawn order
-        for pts in _point_sets(2000 + d, d, 60, 12) * 2:
-            calls.clear()
-            ball = smallest_enclosing_ball(pts)
-            got = list(calls)
-            calls.clear()
-            assert ball == ref_welzl(pts)
-            assert got == calls and got
+    cases = [(d, _point_sets(2000 + d, d, 60, 12)) for d in (1, 2, 3)]
+    cases.append((10, _point_sets(1010, 10, 18, 14)))
+    for d, sets in cases:
+        depths.clear()
+        old_calls = 0
+        for pts in sets:
+            assert smallest_enclosing_ball(pts) == ref_smallest_enclosing_ball(pts)
+            old_calls += _old_scan_circumballs(pts)
+        assert 0 < len(depths) <= old_calls
+        assert max(depths) <= d + 2
+    # the cached orders are the seeded shuffles, untouched by the scans
+    for k in range(1, 15):
+        order = list(range(k))
+        random.Random(0x5EB ^ k).shuffle(order)
+        assert _shuffle_order(k) == tuple(order)
 
 
 def _rank(vectors):
@@ -317,6 +339,112 @@ def test_lex_optimum_equals_the_fraction_reference():
         assert _outcome(_lex_optimum, [h.N for h in lp.implicit + tuple(lp.halfplanes)]) == ref
         seen.add(ref if isinstance(ref, type) else "optimum")
     assert seen == {UnboundedProblem, InfeasibleRegion, "optimum"}
+
+
+# A row spec: (kind, a, b, slack, scale).  The rows are integer, over a
+# common denominator w of the point P = (px/w, py/w) that the tight rows
+# pass through.
+_ROW_SPEC = st.tuples(
+    st.sampled_from(["tight", "loose", "copy", "parallel", "flat"]),
+    st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 9), st.integers(1, 3),
+)
+
+
+def _spec_rows(px, py, w, specs, open_below):
+    """Integer rows from specs: lines through P, rows that hold at P with
+    slack, scaled copies and parallel shifts of the previous row, and
+    horizontal rows at or below P.  With open_below no normal points
+    down, so the objective is unbounded."""
+    rows = []
+    for kind, a, b, slack, scale in specs:
+        if open_below:
+            b = abs(b)
+        if (a, b) == (0, 0) or kind == "flat":
+            a, b = 0, (1 if open_below else -1)
+        if kind in ("copy", "parallel") and rows:
+            a0, b0, c0 = rows[-1]
+            shift = 0 if kind == "copy" else (slack - 1) * w
+            rows.append((a0 * scale, b0 * scale, c0 * scale + shift))
+            continue
+        tight = kind == "tight" or (kind == "flat" and slack % 2)
+        rows.append((a * w, b * w, a * px + b * py + (0 if tight else slack * w)))
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(px=st.integers(-20, 20), py=st.integers(-20, 20), w=st.integers(1, 4),
+       specs=st.integers(0, 58).flatmap(lambda n: st.lists(_ROW_SPEC, min_size=n, max_size=n)),
+       pin=st.booleans(),
+       open_below=st.booleans(), infeasible_last=st.booleans())
+def test_seidel_lp_equals_the_fraction_reference_on_up_to_60_rows(
+    px, py, w, specs, pin, open_below, infeasible_last
+):
+    rows = _spec_rows(px, py, w, specs, open_below)
+    if pin:
+        # y >= py/w and a line on the right side through P: P is optimal,
+        # and the horizontal row there asks for the tie-break on x
+        rows += [(0, -w, -py), (-w, -w, -px - py)]
+    if infeasible_last and rows:
+        # the opposite of some row, placed where the shuffle takes it last
+        a, b, c = rows[len(rows) // 2]
+        rows.insert(_shuffle_order(len(rows) + 1)[-1], (-a, -b, -c - 1))
+    assert len(rows) <= 60
+    expected = _outcome(ref_lex_optimum, [tuple(map(Fraction, r)) for r in rows])
+    assert _outcome(_lex_optimum, rows) == expected
+    if pin and infeasible_last:
+        assert expected is InfeasibleRegion
+    elif open_below and not (pin or infeasible_last):
+        assert expected is UnboundedProblem
+
+
+def test_rows_through_the_optimum_cost_no_line_solve():
+    import violator_spaces.instances as inst
+
+    solves = []
+    on_line = inst._lex_on_line
+
+    def counted(row, taken):
+        solves.append(row)
+        return on_line(row, taken)
+
+    rnd = random.Random(75)
+    rows = [(-1, 0, 0), (0, -1, 0)]
+    while len(rows) < 40:
+        a, b = rnd.randint(-5, 5), rnd.randint(-5, 5)
+        if (a, b) != (0, 0) and a + b <= 0:
+            # lines through the origin, and halfplanes holding it inside;
+            # every one of them admits (3, 3)
+            rows.append((a, b, rnd.choice([0, 0, rnd.randint(1, 9)])))
+    with mock.patch.object(inst, "_lex_on_line", counted):
+        assert _lex_optimum(rows) == (0, 0)
+        assert solves == []
+        # a row that cuts the origin off is solved on its line first
+        cut = (-1, -1, -3)
+        expected = ref_lex_optimum([tuple(map(Fraction, r)) for r in rows + [cut]])
+        assert _lex_optimum(rows + [cut]) == expected
+        assert solves[0] == cut
+
+
+def test_lp_oracle_equals_the_reference_on_40_halfplanes():
+    rnd = random.Random(76)
+    for _ in range(3):
+        # all halfplanes hold at (5/2, 4/3); some pass through (3, 1)
+        rows = []
+        for a, b, _ in _lp_rows(rnd, 40):
+            inner = a * Fraction(5, 2) + b * Fraction(4, 3)
+            through = 3 * a + b
+            rows.append((a, b, through if through >= inner and rnd.random() < 0.5
+                         else inner + _rational(rnd, 0, 5)))
+        oracle = Lp2dOracle(HalfplaneLp.from_rows(rows))
+        implicit = list(HalfplaneLp.from_rows(rows).implicit)
+        for _ in range(15):
+            G = ConstraintSet(rnd.getrandbits(40), 40)
+            x, y = ref_lex_optimum(implicit + [rows[i] for i in G])
+            assert oracle.optimum_of(G) == (x, y)
+            for h in range(40):
+                if h not in G:
+                    a, b, c = rows[h]
+                    assert oracle.violates(G, h) is (a * x + b * y > c)
 
 
 def test_lp_errors_are_raised_by_the_oracle():
