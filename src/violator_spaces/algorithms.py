@@ -314,10 +314,13 @@ def sampling_check(
         for _ in range(trials)
     ]
     mean = sum(counts) / trials
+    # added left to right: from Python 3.12 on, sum() compensates float
+    # rounding, and the printed stddev would depend on the version
+    var = 0.0
+    for c in counts:
+        var += (c - mean) ** 2
     if trials > 1:
-        var = sum((c - mean) ** 2 for c in counts) / (trials - 1)
-    else:
-        var = 0.0
+        var /= trials - 1
     stddev = math.sqrt(var)
     bound = oracle.delta * (n - r) / (r + 1)
     passed = mean <= bound + 3.0 * stddev / math.sqrt(trials)

@@ -1,10 +1,14 @@
 """Geometric violation oracles: smallest enclosing ball and planar LP.
 
-The ball comes from Welzl's algorithm with move-to-front, the LP
-optimum from Seidel's randomized incremental algorithm in expected O(m)
-for m rows.  Both take their input in a fixed seeded order, so every
-run does the same work, and both answers are unique, so the order never
-shows in them.
+The ball of up to three points has a closed form: the point, the
+diameter ball of a pair, or the first pair ball that holds the third
+point and otherwise the triangle's circumball.  Larger sets take Welzl's
+algorithm with move-to-front.  The LP optimum comes from Seidel's
+randomized incremental algorithm in expected O(m) for m rows, after an
+O(m) test of the two normals nearest the descent direction decides
+whether the objective is bounded.  Both take their input in a fixed
+seeded order, so every run does the same work, and both answers are
+unique, so the order never shows in them.
 
 Both run on exact integer arithmetic.  Each input is scaled once to
 integers: a point becomes an integer vector P over its own positive
@@ -159,18 +163,33 @@ def _solve_integer(rows: List[List[int]]) -> Tuple[List[int], int]:
     return [row[k] for row in rows], prev
 
 
+def _pair_ball(p0: Scaled, p1: Scaled) -> Ball:
+    """The ball with diameter p0 p1: centre (q1 P0 + q0 P1) / (2 q0 q1)
+    and radius |q1 P0 - q0 P1| / (2 q0 q1).  Equal points give the
+    point itself."""
+    P0, q0, P1, q1 = p0.N, p0.q, p1.N, p1.q
+    return Ball(tuple(q1 * a + q0 * b for a, b in zip(P0, P1)), 2 * q0 * q1,
+                sum((q1 * a - q0 * b) ** 2 for a, b in zip(P0, P1)))
+
+
 def _circumball(boundary: Sequence[Scaled]) -> Ball:
     """Smallest ball with all boundary points P/q on its sphere.
 
-    The centre is p0 + sum mu_j u_j with u_j = q0 P_j - q_j P0, the
-    direction of p_j - p0 = u_j / (q0 q_j); being equidistant from p0
-    and p_j reads 2 q0 q_j u_j . x = |u_j|**2.  The boundary must be
+    One point is its own ball, and two are the diameter of theirs.
+    Beyond that the centre is p0 + sum mu_j u_j with u_j = q0 P_j - q_j P0,
+    the direction of p_j - p0 = u_j / (q0 q_j); being equidistant from
+    p0 and p_j reads 2 q0 q_j u_j . x = |u_j|**2.  The boundary must be
     affinely independent, as Welzl's recursion keeps it.
     """
     P0, q0 = boundary[0].N, boundary[0].q
-    us = [(tuple(q0 * a - p.q * b for a, b in zip(p.N, P0)), q0 * p.q) for p in boundary[1:]]
-    if not us:
+    if len(boundary) == 1:
         return Ball(P0, q0, 0)
+    if len(boundary) == 2:
+        ball = _pair_ball(*boundary)
+        if not ball.R:
+            raise ArithmeticError("boundary points admit no common sphere")
+        return ball
+    us = [(tuple(q0 * a - p.q * b for a, b in zip(p.N, P0)), q0 * p.q) for p in boundary[1:]]
     mat = [
         [2 * s * sum(a * b for a, b in zip(u, v)) for v, _ in us] + [sum(a * a for a in u)]
         for u, s in us
@@ -195,20 +214,38 @@ def _shuffle_order(k: int) -> Tuple[int, ...]:
 
 
 def smallest_enclosing_ball(points: Sequence[Sequence]) -> Ball:
-    """Exact smallest enclosing ball via Welzl's algorithm with
-    move-to-front (Gaertner, ESA 1999).
+    """Exact smallest enclosing ball: in closed form for up to three
+    points, via Welzl's algorithm with move-to-front (Gaertner, ESA 1999)
+    beyond.
 
-    Points are `Scaled` or sequences of rationals.  They start in a fixed
-    shuffled order for each number of points; a point found outside the
-    ball joins the boundary and then moves to the front of this call's
-    own list, so later scans meet the points that define the ball first.
-    The ball itself is unique, so the answer does not depend on the
-    order.  A level recurses only when a point joins the boundary:
-    depth <= d + 2.
+    Points are `Scaled` or sequences of rationals.  One point is its own
+    ball, and two points span the ball they are a diameter of.  A pair
+    ball that holds the third point of a triple encloses the triple at
+    the least radius any ball around the pair can have, so it is the
+    answer; when no pair ball holds the third point, the triangle is
+    acute, so its points are affinely independent and their circumball
+    is the answer.
+
+    Larger sets start in a fixed shuffled order for each number of
+    points; a point found outside the ball joins the boundary and then
+    moves to the front of this call's own list, so later scans meet the
+    points that define the ball first.  The ball itself is unique, so
+    the answer does not depend on the order.  A level recurses only
+    when a point joins the boundary: depth <= d + 2.
     """
     pts = [p if isinstance(p, Scaled) else Scaled.of(p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
+    if len(pts) == 1:
+        return _circumball(pts)
+    if len(pts) == 2:
+        return _pair_ball(*pts)
+    if len(pts) == 3:
+        for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            ball = _pair_ball(pts[i], pts[j])
+            if not ball.excludes(pts[k]):
+                return ball
+        return _circumball(pts)
     d = len(pts[0].N)
     pts = [pts[i] for i in _shuffle_order(len(pts))]
 
@@ -303,30 +340,20 @@ def _lex_optimum(constraints: Sequence[Ints]) -> Scaled:
     halfplanes a*x + b*y <= c, by Seidel's randomized incremental LP
     (DCG 1991): expected O(m) for m rows.
 
-    Raises UnboundedProblem when the recession cone contains a
-    lexicographically decreasing direction; this is decided from the
-    normals alone, before feasibility.  Otherwise two rows bound the
-    objective on their own: the normals nearest to the descent direction
-    on either side of it (de Berg et al., ch. 4).  Their crossing starts
-    the walk, and the other rows follow in a fixed shuffled order.  A
-    vertex (X/W, Y/W), W > 0, violates a row iff a*X + b*Y > c*W; the
-    new optimum then lies on that row's line, where `_lex_on_line`
-    finds it against the rows taken so far, or raises InfeasibleRegion.
+    Two rows bound the objective on their own or none do: the normals
+    nearest to the descent direction on either side of it (de Berg et
+    al., ch. 4).  When they do not, UnboundedProblem is raised, before
+    feasibility is looked at.  Their crossing starts the walk, and the
+    other rows follow in a fixed shuffled order.  A vertex (X/W, Y/W),
+    W > 0, violates a row iff a*X + b*Y > c*W; the new optimum then
+    lies on that row's line, where `_lex_on_line` finds it against the
+    rows taken so far, or raises InfeasibleRegion.
     """
-    dirs = [(0, -1), (-1, 0)]
-    for a, b, _ in constraints:
-        dirs.append((b, -a))
-        dirs.append((-b, a))
-    for dx, dy in dirs:
-        if dy > 0 or (dy == 0 and dx >= 0):
-            continue
-        if all(a * dx + b * dy <= 0 for a, b, _ in constraints):
-            raise UnboundedProblem("objective decreases along a feasible ray")
-
     # The descent direction is (-eps, -1).  A normal (a, b) lies left of
     # it iff a > 0 or (a == 0 and b < 0); the nearest one on each side is
     # the one its rivals lie beyond, by the sign of their cross product.
-    # The recession test above leaves both sides nonempty.
+    # The objective is bounded iff the descent direction lies in the cone
+    # of the normals, that is strictly inside the cone of these two.
     left = right = None
     la = lb = ra = rb = 0
     for k, (a, b, _) in enumerate(constraints):
@@ -335,6 +362,8 @@ def _lex_optimum(constraints: Sequence[Ints]) -> Scaled:
                 left, la, lb = k, a, b
         elif right is None or ra * b > rb * a:
             right, ra, rb = k, a, b
+    if left is None or right is None or ra * lb - rb * la <= 0:
+        raise UnboundedProblem("objective decreases along a feasible ray")
     taken = [constraints[left], constraints[right]]
     X, Y, W = _crossing(*taken)
     for k in _shuffle_order(len(constraints)):

@@ -71,6 +71,16 @@ def _halfplanes(seed: int, n: int) -> str:
     return _csv("name,a,b,c", rows)
 
 
+def _degenerate() -> str:
+    """2D points on the circle x**2 + y**2 = 25 with three antipodal
+    pairs, so their triangles have a right angle on the circle; one of
+    them repeated; and the centre and (2, 0), collinear with (-5, 0)
+    and (5, 0) and making a right angle with (0, 5) at the centre."""
+    rows = [(5, 0), (-5, 0), (3, 4), (-3, -4), (0, 5), (4, -3), (-4, 3), (3, 4),
+            (0, 0), (2, 0)]
+    return _csv("name,x,y", [[f"p{i}", x, y] for i, (x, y) in enumerate(rows)])
+
+
 def _infeasible() -> str:
     # the last row, x <= -1/2, leaves the positive orthant empty
     return _csv("name,a,b,c", [["f", 1, 1, 6], ["g", -1, 2, 4], ["h", 1, -3, 2],
@@ -84,6 +94,9 @@ GENERATED = {
     "halfplanes_12.csv": lambda: _halfplanes(12, 12),
     "halfplanes_70.csv": lambda: _halfplanes(70, 70),
     "infeasible.csv": _infeasible,
+    "points_1d.csv": lambda: _points(11, 10, 1),
+    "points_3d_10.csv": lambda: _points(33, 10, 3),
+    "points_degenerate.csv": _degenerate,
 }
 
 INSTANCES = [
@@ -96,6 +109,9 @@ INSTANCES = [
     (f"{INPUTS}/halfplanes_12.csv", 12),
     (f"{INPUTS}/halfplanes_70.csv", 70),
     (f"{INPUTS}/infeasible.csv", 4),
+    (f"{INPUTS}/points_1d.csv", 10),
+    (f"{INPUTS}/points_3d_10.csv", 10),
+    (f"{INPUTS}/points_degenerate.csv", 10),
 ]
 # A solve on the 300-point set spends 0.4 to 1.6 s in its base case, so
 # that set is solved by one algorithm and seed only; the rest of its

@@ -5,6 +5,7 @@ ones replaced, kept here as the reference: balls, optima, raised errors
 and every violation test must agree with them exactly.
 """
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -250,6 +251,91 @@ def test_move_to_front_welzl_is_exact_shallow_and_no_costlier(monkeypatch):
         assert _shuffle_order(k) == tuple(order)
 
 
+def _small_sets(rnd, d):
+    """1-3 point sets in d dimensions: random, repeated, collinear,
+    right triangles with the third point on the diameter sphere,
+    equilateral (acute in 1-2D) and obtuse triangles."""
+    def vec(lo=-9, hi=9):
+        return [_rational(rnd, lo, hi) for _ in range(d)]
+
+    def shift(p, v, t=1):
+        return [a + t * b for a, b in zip(p, v)]
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    sets = []
+    for _ in range(12):
+        a, b, c, v = vec(), vec(), vec(), vec(-3, 3)
+        sets += [[a], [a, b], [a, a], [a, b, c], [a, a, a], [a, a, b], [a, b, a]]
+        # collinear: a and two more points on the line through a along v
+        sets.append([a, shift(a, v, _rational(rnd, -5, 5)), shift(a, v, _rational(rnd, -5, 5))])
+        # a right angle at c: (a - c) . (b - c) == 0
+        u, w = vec(-4, 4), vec(-4, 4)
+        if dot(u, u):
+            w = [y - dot(w, u) / dot(u, u) * x for x, y in zip(u, w)]
+        sets.append([shift(c, u), shift(c, w), c])
+        # obtuse at c: c sits just off the midpoint of a and b
+        mid = [(x + y) / 2 for x, y in zip(a, b)]
+        sets.append([a, shift(mid, v, Fraction(1, 7)), b])
+    if d >= 3:
+        # equilateral: three scaled unit vectors about a shifted origin
+        for i, j, k in ((0, 1, 2), (d - 1, 0, 1)):
+            o, s = vec(), _rational(rnd, 1, 9)
+            sets.append([[o[t] + s * (t == e) for t in range(d)] for e in (i, j, k)])
+    else:
+        # an acute isosceles triangle
+        sets.append([[0] * d, [4] + [0] * (d - 1), [2] + [3] * (d - 1)])
+    return [[tuple(Fraction(x) for x in p) for p in pts] for pts in sets]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10])
+def test_balls_of_up_to_three_points_are_closed_form(d, monkeypatch):
+    import violator_spaces.instances as inst
+
+    solves = []
+    solve = inst._solve_integer
+
+    def counted(rows):
+        solves.append(len(rows))
+        return solve(rows)
+
+    monkeypatch.setattr(inst, "_solve_integer", counted)
+    rnd = random.Random(4000 + d)
+    kinds = {"pair": 0, "triangle": 0}
+    for pts in _small_sets(rnd, d):
+        # every order of the points, so each pair ball comes first once
+        for order in set(itertools.permutations(pts)):
+            solves.clear()
+            ball = smallest_enclosing_ball(order)
+            assert ball == ref_smallest_enclosing_ball(order) and ball.D > 0
+            assert len(solves) <= 1
+            independent = _rank([tuple(a - b for a, b in zip(p, order[0]))
+                                 for p in order[1:]]) == 2
+            # a triangle's circumball is solved only when no pair ball
+            # holds the third point, so only for independent points
+            assert not solves or independent
+            if len(order) == 3:
+                kinds["triangle" if solves else "pair"] += 1
+    assert kinds["pair"] > 0 and (d == 1 or kinds["triangle"] > 0)
+    a, b = (tuple(_rational(rnd) for _ in range(d)) for _ in range(2))
+    solves.clear()
+    assert _circumball(PointSet.from_rows([a, b]).points) == ref_circumball([a, b])
+    assert solves == []
+    with pytest.raises(ArithmeticError):
+        _circumball(PointSet.from_rows([a, a]).points)
+
+
+def test_right_triangles_take_the_diameter_ball():
+    # the third point lies exactly on the diameter sphere of the others
+    for pts in ([(0, 0), (4, 0), (0, 3)], [(5, 0), (-5, 0), (3, 4)],
+                [(0, 0, 0), (2, 0, 0), (1, 1, 0)], [(1, 1, 1), (3, 1, 1), (1, 1, 1)]):
+        pts = [tuple(map(Fraction, p)) for p in pts]
+        center, r2 = smallest_enclosing_ball(pts)
+        assert (center, r2) == ref_smallest_enclosing_ball(pts)
+        assert all(ref_dist2(p, center) == r2 for p in pts)
+
+
 def _rank(vectors):
     rows = [list(map(Fraction, v)) for v in vectors]
     rank = 0
@@ -395,6 +481,76 @@ def test_seidel_lp_equals_the_fraction_reference_on_up_to_60_rows(
         assert expected is InfeasibleRegion
     elif open_below and not (pin or infeasible_last):
         assert expected is UnboundedProblem
+
+
+# A boundedness spec: (kind, a, b, c, c2).  Each gives one or two rows.
+_BOUND_SPEC = st.tuples(
+    st.sampled_from(["strip", "single", "across", "floor", "x_bound", "wedge"]),
+    st.integers(-4, 4), st.integers(-4, 4), st.integers(-9, 9), st.integers(-9, 9),
+)
+
+
+def _bound_rows(specs):
+    """Rows whose boundedness turns on the nearest normals: strips with
+    opposite normals (a, b) and (-a, -b); single rows; normals exactly
+    opposite across the descent direction (-eps, -1), (k, b) and (-k, -b)
+    with k > 0; the floor (0, -1) alone or with an x bound on either
+    side; and wedges (k, b), (-k, b) opening up or down."""
+    rows = []
+    for kind, a, b, c, c2 in specs:
+        if (a, b) == (0, 0):
+            a = 1
+        if kind == "strip":
+            rows += [(a, b, c), (-a, -b, c2)]
+        elif kind == "single":
+            rows.append((a, b, c))
+        elif kind == "across":
+            k = abs(a) or 1
+            rows += [(k, b, c), (-k, -b, c2)]
+        elif kind == "floor":
+            rows.append((0, -1, c))
+        elif kind == "x_bound":
+            rows.append((1 if a > 0 else -1, 0, c))
+        else:
+            k = abs(a) or 1
+            rows += [(k, b, c), (-k, b, c2)]
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(specs=st.lists(_BOUND_SPEC, min_size=1, max_size=3),
+       extra=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-9, 9))
+                      .filter(lambda r: r[:2] != (0, 0)), max_size=2))
+def test_boundedness_test_equals_the_fraction_reference(specs, extra):
+    rows = _bound_rows(specs) + extra
+    expected = _outcome(ref_lex_optimum, [tuple(map(Fraction, r)) for r in rows])
+    assert _outcome(_lex_optimum, rows) == expected
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([], UnboundedProblem),
+    ([(0, -1, 0)], UnboundedProblem),
+    ([(0, -1, 0), (-1, 0, 2)], (-2, 0)),
+    ([(0, -1, 0), (1, 0, 2)], UnboundedProblem),
+    ([(3, -2, 1)], UnboundedProblem),
+    # horizontal, vertical and slanted strips leave a line of descent
+    ([(0, -1, 0), (0, 1, 5)], UnboundedProblem),
+    ([(1, 0, 1), (-1, 0, 1)], UnboundedProblem),
+    ([(1, 1, 2), (-1, -1, 0)], UnboundedProblem),
+    # exactly opposite normals on either side of the descent direction
+    ([(1, -1, 0), (-1, 1, 0)], UnboundedProblem),
+    ([(2, -1, 0), (-2, 1, 3)], UnboundedProblem),
+    # a wedge opening up has its apex as optimum, one opening down none
+    ([(1, -1, 0), (-1, -1, 0)], (0, 0)),
+    ([(1, 1, 0), (-1, 1, 0)], UnboundedProblem),
+    # the normals are judged before feasibility: an empty strip is
+    # unbounded, and only with an x bound is it infeasible
+    ([(0, 1, -1), (0, -1, 0)], UnboundedProblem),
+    ([(0, 1, -1), (0, -1, 0), (-1, 0, 0)], InfeasibleRegion),
+])
+def test_boundedness_cases(rows, expected):
+    assert _outcome(ref_lex_optimum, [tuple(map(Fraction, r)) for r in rows]) == expected
+    assert _outcome(_lex_optimum, rows) == expected
 
 
 def test_rows_through_the_optimum_cost_no_line_solve():

@@ -2,8 +2,10 @@
 
 `golden/cli_matrix.json` holds the exit code, stdout and stderr of
 `check`, `structure`, `solve` (every --algo, two seeds, text and JSON)
-and `sampling` on the point and halfplane fixtures and on seeded 2D, 3D,
-300-point, 12- and 70-halfplane and infeasible CSVs.  A kernel that
+and `sampling` on the point and halfplane fixtures, on seeded 1D, 2D,
+3D, 300-point, 12- and 70-halfplane and infeasible CSVs, and on a 2D
+set of repeated, collinear, right-angled and cocircular points (the
+closed-form small balls' boundary cases).  A kernel that
 returns the same balls and optima, and raises the same errors, leaves
 every byte of it unchanged.  `golden/regenerate.py` rewrites it.
 """
