@@ -1,10 +1,14 @@
 """Basis-finding algorithms driven purely by the violation primitive.
 
-`trivial_basis` scans all candidate sets of size up to delta.  `basis1`
-and `basis2` are Clarkson's two randomized reduction stages; both return
-a basis of G for any oracle satisfying the violator-space axioms, cyclic
-or not.  `solve` runs basis1 on the whole ground set, which is the
-combination with expected O(delta*n + delta^O(delta)) primitive calls.
+`trivial_basis` scans all candidate sets of size up to delta.  The base
+case the stages bottom out in returns the same basis with far fewer
+queries: it chases one basis by pivoting on violators, tests at most
+delta of its members for being extreme in G, and scans only supersets
+of the extreme ones.  `basis1` and `basis2` are Clarkson's two
+randomized reduction stages; both return a basis of G for any oracle
+satisfying the violator-space axioms, cyclic or not.  `solve` runs
+basis1 on the whole ground set, which is the combination with expected
+O(delta*n + delta^O(delta)) primitive calls.
 
 Both randomized loops carry hard safety bounds that hold for every true
 violator space: basis1 augments its working set at most delta times and
@@ -19,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, count
-from typing import Callable, Iterator, List, Sequence, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import ConstraintSet, SolveStats, ViolationOracle
 
@@ -108,20 +112,27 @@ class Rng:
         return support
 
 
-def trivial_basis(oracle: ViolationOracle, G: ConstraintSet) -> ConstraintSet:
+def trivial_basis(
+    oracle: ViolationOracle, G: ConstraintSet, required: int = 0
+) -> ConstraintSet:
     """Scan candidate sets of size <= delta for a basis of G.
 
     B qualifies iff every h in B violates B minus h and no h in G
     outside B violates B.  Candidates run by ascending cardinality and
     lexicographically within one cardinality; the first hit is returned,
-    after at most n * sum_{i<=delta} C(n, i) primitive calls.
+    after at most n * sum_{i<=delta} C(n, i) primitive calls.  A
+    `required` mask inside G restricts the scan to its supersets, which
+    keep the same order among themselves.
     """
     n = oracle.n
     violates = oracle.violates
     members = [(h, 1 << h) for h in G]
+    fixed = tuple((h, bit) for h, bit in members if required & bit)
+    free = [(h, bit) for h, bit in members if not required & bit]
     limit = min(oracle.delta, len(members))
-    for size in range(limit + 1):
-        for combo in combinations(members, size):
+    for size in range(len(fixed), limit + 1):
+        for combo in combinations(free, size - len(fixed)):
+            combo = fixed + combo
             mask = 0
             for _, bit in combo:
                 mask |= bit
@@ -142,6 +153,66 @@ def trivial_basis(oracle: ViolationOracle, G: ConstraintSet) -> ConstraintSet:
     raise NoBasisFound(
         f"no subset of size <= {oracle.delta} is a basis of the given set"
     )
+
+
+def _chase(oracle: ViolationOracle, G: ConstraintSet) -> Optional[ConstraintSet]:
+    """A basis of G reached by pivoting, or None once a basis repeats.
+
+    Walks G's members cyclically in ascending order from B = empty; a
+    member h that violates B moves B to the basis of B + h, found among
+    the sets that hold h, so every query is on a set of at most delta
+    members.  The walk stops after one full round without a violator,
+    when no member of G violates B.  On LP-type problems every pivot
+    raises the value and no basis repeats; on cyclic spaces one can, and
+    the chase gives up.
+    """
+    n = oracle.n
+    members = list(G)
+    g = len(members)
+    B = ConstraintSet.empty(n)
+    seen = {0}
+    quiet = i = 0
+    while quiet < g:
+        h = members[i]
+        i = (i + 1) % g
+        if (B.mask >> h) & 1 or not oracle.violates(B, h):
+            quiet += 1
+            continue
+        # h is extreme in B + h, so every basis of B + h holds it
+        B = trivial_basis(oracle, ConstraintSet(B.mask | 1 << h, n), 1 << h)
+        if B.mask in seen:
+            return None
+        seen.add(B.mask)
+        quiet = 1
+    return B
+
+
+def _chase_basis(oracle: ViolationOracle, G: ConstraintSet) -> ConstraintSet:
+    """The basis `trivial_basis` returns, found by a chase and <= delta
+    extreme tests on large sets.
+
+    h is extreme in G when h violates G - h; consistency and locality
+    put it in every basis of G.  Once the chase ends on a basis B, no
+    member outside B is extreme, so E, the extreme members of B, are all
+    of G's.  If E = B, B is the only basis; otherwise the scan over
+    supersets of E meets the same first basis as the full scan.  A
+    repeated basis or a NoBasisFound falls back to the full scan, which
+    keeps the errors and guard trips of a broken oracle.
+    """
+    n = oracle.n
+    try:
+        B = _chase(oracle, G)
+        if B is not None:
+            extreme = 0
+            for h in B:
+                if oracle.violates(ConstraintSet(G.mask ^ 1 << h, n), h):
+                    extreme |= 1 << h
+            if extreme == B.mask:
+                return B
+            return trivial_basis(oracle, G, extreme)
+    except NoBasisFound:
+        pass
+    return trivial_basis(oracle, G)
 
 
 def _violators(
@@ -173,7 +244,7 @@ def _trivial(
     oracle: ViolationOracle, G: ConstraintSet, rng: Rng, stats: SolveStats
 ) -> ConstraintSet:
     stats.trivial_calls += 1
-    return trivial_basis(oracle, G)
+    return _chase_basis(oracle, G)
 
 
 def _basis2(

@@ -12,8 +12,9 @@ membership query.  It precomputes one bitmask per block, so a query on
 a vertex or on a set missing a block costs O(delta) big-integer
 operations (one evaluation or none); any other set falls back to a sink
 scan over its subgrid that charges one evaluation per membership query
-it makes.  Clarkson's solvers only ask about vertices and about sets
-missing a block.
+it makes.  Clarkson's solvers ask about vertices and about sets missing
+a block, except in the base case, which also asks about at most delta
+sets G - h, each a sink scan.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from violator_spaces import ConcreteLpProblem, GridPartition
+from violator_spaces import ConcreteLpProblem, GridPartition, PointSet, smallest_enclosing_ball
 from violator_spaces.cli import main
 from violator_spaces.fileio import load_path
 
@@ -413,6 +413,27 @@ def test_sampling_on_1200_points_does_not_overflow_the_stack(capsys, tmp_path):
     )
     assert (code, err) == (0, "")
     assert "r: 1100" in out
+
+
+def test_solve_on_200_points_in_5d_ends_with_an_enclosing_ball(capsys, tmp_path):
+    # 200 <= 6 * delta**2 = 216: the whole set goes to the base case,
+    # where a scan of every subset of size <= 6 would not end in useful time
+    rnd = random.Random(5)
+    rows = [[rnd.randint(-1000, 1000) for _ in range(5)] for _ in range(200)]
+    path = tmp_path / "points.csv"
+    path.write_text("name,a,b,c,d,e\n" + "".join(
+        f"p{i}," + ",".join(map(str, row)) + "\n" for i, row in enumerate(rows)
+    ))
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "solve", path, "--algo", "clarkson1", "--format", "json"
+    )
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    basis = [int(name[1:]) for name in json.loads(out)["basis"]]
+    ball = smallest_enclosing_ball([rows[i] for i in basis])
+    points = PointSet.from_rows(rows).points
+    assert not any(ball.excludes(p) for p in points)
 
 
 def _coprime_denominators(count, digits=40):
