@@ -128,6 +128,8 @@ class ExplicitViolatorSpace:
         self._table = list(table)
         self.names = _check_names(names, n) if names is not None else _default_names(n)
         self._checked = checked
+        # the last structure() result; the table never changes
+        self._structure: Optional["BasisStructure"] = None
 
     @property
     def checked(self) -> bool:
@@ -267,7 +269,7 @@ class ExplicitViolatorSpace:
             None,
         )
         acyclic = start is None
-        return BasisStructure(
+        self._structure = BasisStructure(
             space=self,
             bases=bases,
             classes=[
@@ -280,13 +282,16 @@ class ExplicitViolatorSpace:
             linear_extension=_linear_extension(succ) if acyclic else None,
             cycle=None if acyclic else _cycle_witness(succ, start),
         )
+        return self._structure
 
     # -- conversions --------------------------------------------------
 
     def to_concrete(self) -> "ConcreteLpProblem":
         """Concrete representation over basis-equivalence classes; see
-        BasisStructure.to_concrete."""
-        return self.structure().to_concrete()
+        BasisStructure.to_concrete.  It reuses the last structure() built
+        for this space, since the table never changes, and builds one
+        only if there is none."""
+        return (self._structure or self.structure()).to_concrete()
 
     def oracle(self, delta: Optional[int] = None) -> "TableOracle":
         """Violation oracle backed by this table.

@@ -12,8 +12,11 @@ JSON kinds are sniffed by their top-level keys, CSV kinds by header:
 
 Subset and vertex keys join member names with commas; the empty subset
 keys as "".  Keys are accepted in any member order and emitted in
-ground-set index order.  Numbers in CSV files are exact rationals:
-integers, p/q, or decimal strings.
+ground-set index order.  A table file's keys and explicit member lists
+in that canonical order are looked up in one table of the canonical
+keys, one dict lookup per entry; any other member order is parsed name
+by name, with the same errors.  Numbers in CSV files are exact
+rationals: integers, p/q, or decimal strings.
 """
 
 from __future__ import annotations
@@ -52,6 +55,27 @@ Loaded = Tuple[str, object]
 
 def _subset_key(mask: int, names: Sequence[str]) -> str:
     return ",".join(names[i] for i in range(len(names)) if (mask >> i) & 1)
+
+
+def _subset_keys(names: Sequence[str]) -> List[str]:
+    """keys[g]: the canonical key of every mask g, built a member at a time."""
+    keys = [""]
+    for name in names:
+        keys += [k + "," + name if k else name for k in keys]
+    return keys
+
+
+def _key_masks(names: Sequence[str], entries: dict) -> Dict[str, int]:
+    """The mask of every canonical key, built only for a document with
+    one entry per subset: any other count fails with a missing or a
+    repeated key, and its size must not set the table's."""
+    if len(entries) != 1 << len(names):
+        return {}
+    return {key: g for g, key in enumerate(_subset_keys(names))}
+
+
+def _first_missing(table: list) -> Optional[int]:
+    return table.index(None) if None in table else None
 
 
 def _parse_member_list(members, name_index: Dict[str, int], what: str) -> int:
@@ -98,15 +122,25 @@ def explicit_from_dict(doc: dict) -> ExplicitViolatorSpace:
     violators = doc.get("violators")
     if not isinstance(violators, dict):
         raise ParseError('"violators" must be an object')
+    canonical = _key_masks(names, violators)
     table = [None] * (1 << n)
     for key, val in violators.items():
-        mask = _parse_key(key, index, f"subset key {key!r}")
+        mask = canonical.get(key)
+        if mask is None:
+            mask = _parse_key(key, index, f"subset key {key!r}")
         if table[mask] is not None:
             raise ParseError(f"subset key {key!r} repeats an earlier subset")
         if not isinstance(val, list):
             raise ParseError(f"violators of {key!r} must be a list of names")
-        table[mask] = _parse_member_list(val, index, f"violators of {key!r}")
-    missing = next((m for m, v in enumerate(table) if v is None), None)
+        try:  # join only all-string lists
+            v = canonical.get(",".join(val))
+        except TypeError:
+            v = None
+        # members holding commas ("a,b") can join to a key with more bits
+        if v is None or v.bit_count() != len(val):
+            v = _parse_member_list(val, index, f"violators of {key!r}")
+        table[mask] = v
+    missing = _first_missing(table)
     if missing is not None:
         raise ParseError(
             f"missing subset key {_subset_key(missing, names)!r}:"
@@ -116,14 +150,13 @@ def explicit_from_dict(doc: dict) -> ExplicitViolatorSpace:
 
 
 def explicit_to_dict(space: ExplicitViolatorSpace) -> dict:
-    names = space.names
+    keys = _subset_keys(space.names)
+    # split makes a fresh member list for every entry
     return {
-        "names": list(names),
+        "names": list(space.names),
         "violators": {
-            _subset_key(g, names): [
-                names[i] for i in ConstraintSet(space.violator_mask(g), space.n)
-            ]
-            for g in range(1 << space.n)
+            key: keys[v].split(",") if v else []
+            for key, v in zip(keys, map(space.violator_mask, range(len(keys))))
         },
     }
 
@@ -142,15 +175,18 @@ def abstract_from_dict(doc: dict) -> AbstractLpTable:
         raise ParseError('"values" must be an object')
     if not isinstance(order, list) or not all(isinstance(x, str) for x in order):
         raise ParseError('"order" must be a list of tokens')
+    canonical = _key_masks(names, values)
     table: List[Optional[str]] = [None] * (1 << n)
     for key, tok in values.items():
-        mask = _parse_key(key, index, f"subset key {key!r}")
+        mask = canonical.get(key)
+        if mask is None:
+            mask = _parse_key(key, index, f"subset key {key!r}")
         if table[mask] is not None:
             raise ParseError(f"subset key {key!r} repeats an earlier subset")
         if not isinstance(tok, str):
             raise ParseError(f"value of {key!r} must be a token string")
         table[mask] = tok
-    missing = next((m for m, v in enumerate(table) if v is None), None)
+    missing = _first_missing(table)
     if missing is not None:
         raise ParseError(f"missing subset key {_subset_key(missing, names)!r}")
     try:
@@ -160,12 +196,9 @@ def abstract_from_dict(doc: dict) -> AbstractLpTable:
 
 
 def abstract_to_dict(table: AbstractLpTable) -> dict:
-    names = table.names
     return {
-        "names": list(names),
-        "values": {
-            _subset_key(g, names): table.values[g] for g in range(1 << table.n)
-        },
+        "names": list(table.names),
+        "values": dict(zip(_subset_keys(table.names), table.values)),
         "order": list(table.order),
     }
 

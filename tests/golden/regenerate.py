@@ -1,23 +1,32 @@
-"""Write the golden CLI matrix of the geometric commands.
+"""Write the golden CLI matrix: geometric commands and table files.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Run from the root of a source checkout.  It writes the seeded input
-CSVs next to this file, runs every command of the matrix through
-`vspace`'s `main` and records its exit code, stdout and stderr in
-`cli_matrix.json`; `tests/test_golden_cli.py` replays the matrix and
-requires byte-identical output.  Regenerate only when the output is
-meant to change, and say why in the change that does.
+CSVs and table files next to this file, runs every command of the
+matrix through `vspace`'s `main` and records its exit code, stdout and
+stderr in `cli_matrix.json`, plus the text of the file written by a
+command whose `--out` is the placeholder `@out` (null if it wrote
+none); `tests/test_golden_cli.py` replays the matrix and requires
+byte-identical output.  Regenerate only when the output is meant to
+change, and say why in the change that does.
+
+The table files are built here from their own definitions, not by the
+library's writers: a concrete problem's violator table, its value
+table, a coordinate-order grid USO, and broken documents for every
+parse error of an explicit or abstract file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,6 +96,171 @@ def _infeasible() -> str:
                                 ["bad", 1, 0, Fraction(-1, 2)]])
 
 
+def _concrete(seed: int, n: int):
+    """Points, n constraints over them, and the value rank of every
+    subset: the least point of its intersection, m when it is empty."""
+    rnd = random.Random(seed)
+    m = rnd.randint(4, 8)
+    constraints = [[p for p in range(m) if rnd.random() < 0.55] for _ in range(n)]
+    masks = [sum(1 << p for p in c) for c in constraints]
+    inter = [(1 << m) - 1] * (1 << n)
+    for g in range(1, 1 << n):
+        low = g & -g
+        inter[g] = inter[g ^ low] & masks[low.bit_length() - 1]
+    rank = [(x & -x).bit_length() - 1 if x else m for x in inter]
+    return [f"x{p}" for p in range(m)], constraints, rank
+
+
+def _violators(rank, n):
+    """V(G): the h outside G whose addition raises the value."""
+    return [sum(1 << h for h in range(n) if not g >> h & 1 and rank[g | 1 << h] > rank[g])
+            for g in range(1 << n)]
+
+
+def _members(mask: int, names):
+    return [name for i, name in enumerate(names) if mask >> i & 1]
+
+
+def _keyed(names, entries, order=None, seed=None):
+    """(key, value) pairs over every subset; `order` "reversed" reverses
+    the member order of keys and member lists, "shuffled" shuffles them
+    and the entries with `seed`."""
+    rnd = random.Random(seed)
+    pairs = []
+    for g, value in enumerate(entries):
+        key = _members(g, names)
+        if order == "reversed":
+            key.reverse()
+            value = value[::-1] if isinstance(value, list) else value
+        elif order == "shuffled":
+            rnd.shuffle(key)
+            if isinstance(value, list):
+                rnd.shuffle(value)
+        pairs.append([",".join(key), value])
+    if order == "shuffled":
+        rnd.shuffle(pairs)
+    return pairs
+
+
+def _explicit(names, table, order=None, seed=None) -> dict:
+    entries = [_members(v, names) for v in table]
+    return {"names": names, "violators": dict(_keyed(names, entries, order, seed))}
+
+
+def _concrete_explicit(seed, names, order=None) -> str:
+    _, _, rank = _concrete(seed, len(names))
+    return json.dumps(_explicit(names, _violators(rank, len(names)), order, seed))
+
+
+def _concrete_abstract(seed, names, order=None) -> str:
+    points, _, rank = _concrete(seed, len(names))
+    tokens = points + ["+inf"]
+    values = dict(_keyed(names, [tokens[r] for r in rank], order, seed))
+    return json.dumps({"names": names, "values": values, "order": tokens})
+
+
+def _concrete_file(seed, n) -> str:
+    points, constraints, _ = _concrete(seed, n)
+    return json.dumps({"points": points, "constraints": constraints,
+                       "names": [f"k{i}" for i in range(n)]})
+
+
+def _corrupt(axiom: str) -> str:
+    """An 8-member table with one entry broken: V(G) meets G, or V(G)
+    loses its lowest member."""
+    names = [f"c{i}" for i in range(8)]
+    _, _, rank = _concrete(81, 8)
+    table = _violators(rank, 8)
+    if axiom == "consistency":
+        table[0b1011] |= 0b10
+    else:
+        g = next(g for g in range(1 << 8) if table[g] and bin(g).count("1") == 3)
+        table[g] &= table[g] - 1
+    return json.dumps(_explicit(names, table))
+
+
+def _coordinate_uso(seed: int, sizes) -> str:
+    """A coordinate-order grid USO: every edge points to the element of
+    lower rank in its block."""
+    rnd = random.Random(seed)
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(list(range(start, start + size)))
+        start += size
+    rank = {}
+    for b in blocks:
+        for r, h in enumerate(rnd.sample(b, len(b))):
+            rank[h] = r
+    outmap = {}
+    for J in itertools.product(*blocks):
+        out = [h for k, b in enumerate(blocks) for h in b if rank[h] < rank[J[k]]]
+        outmap[",".join(f"u{h}" for h in J)] = [f"u{h}" for h in sorted(out)]
+    return json.dumps({"blocks": [[f"u{h}" for h in b] for b in blocks], "outmap": outmap})
+
+
+_FGH = ["f", "g", "h"]
+
+
+def _broken(edit) -> str:
+    """The cyclic 3-element table of the fixtures, as a document, after
+    `edit` changed it."""
+    doc = _explicit(_FGH, [0b111, 0b100, 0b001, 0b100, 0b010, 0b010, 0b001, 0b000])
+    edit(doc["violators"])
+    return json.dumps(doc)
+
+
+def _renamed(old, new):
+    """An edit that moves the entry of key `old` to key `new`."""
+    def edit(entries):
+        entries[new] = entries.pop(old)
+    return edit
+
+
+def _set(key, value):
+    return lambda entries: entries.__setitem__(key, value)
+
+
+def _broken_abstract(edit) -> str:
+    points, _, rank = _concrete(33, 3)
+    tokens = points + ["+inf"]
+    values = {",".join(_members(g, _FGH)): tokens[r] for g, r in enumerate(rank)}
+    edit(values)
+    return json.dumps({"names": _FGH, "values": values, "order": tokens})
+
+
+# names where one is a prefix of others, so joined names can collide
+PREFIXED = ["c1", "c10", "c2", "c12", "c3", "c21", "c4", "c5", "c6", "c7"]
+
+TABLES = {
+    "explicit_8.json": lambda: _concrete_explicit(8, [f"e{i}" for i in range(8)]),
+    "explicit_10.json": lambda: _concrete_explicit(10, PREFIXED),
+    "explicit_10_shuffled.json": lambda: _concrete_explicit(10, PREFIXED, "shuffled"),
+    "explicit_9_reversed.json": lambda: _concrete_explicit(9, list("abcdefghi"), "reversed"),
+    "abstract_6.json": lambda: _concrete_abstract(6, [f"w{i}" for i in range(6)]),
+    "abstract_9_shuffled.json": lambda: _concrete_abstract(9, PREFIXED[:9], "shuffled"),
+    "concrete_7.json": lambda: _concrete_file(7, 7),
+    "concrete_10.json": lambda: _concrete_file(10, 10),
+    "uso_3x2x2.json": lambda: _coordinate_uso(322, (3, 2, 2)),
+    "corrupt_consistency.json": lambda: _corrupt("consistency"),
+    "corrupt_locality.json": lambda: _corrupt("locality"),
+    "bad_unknown_value.json": lambda: _broken(_set("f", ["zz"])),
+    "bad_unknown_key.json": lambda: _broken(_renamed("f,g", "f,zz")),
+    "bad_comma_value.json": lambda: _broken(_set("", ["f,g"])),
+    "bad_comma_value_full.json": lambda: _broken(_set("", ["f,g,h"])),
+    "bad_empty_value.json": lambda: _broken(_set("g", [""])),
+    "bad_int_value.json": lambda: _broken(_set("g", [0])),
+    "bad_value_type.json": lambda: _broken(_set("h", "f")),
+    "bad_duplicate_value.json": lambda: _broken(_set("f,h", ["g", "g"])),
+    "bad_duplicate_key.json": lambda: _broken(_renamed("g,h", "h,h")),
+    "bad_repeated_key.json": lambda: _broken(_renamed("h", "g,f")),
+    "bad_repeated_extra_key.json": lambda: _broken(_set("h,g", ["f"])),
+    "bad_missing_key.json": lambda: _broken(lambda v: v.pop("f,h")),
+    "bad_abstract_unknown_key.json": lambda: _broken_abstract(_renamed("g", "zz")),
+    "bad_abstract_repeated_key.json": lambda: _broken_abstract(_renamed("f", "h,g")),
+    "bad_abstract_missing_key.json": lambda: _broken_abstract(lambda v: v.pop("f,g,h")),
+}
+
+
 GENERATED = {
     "points_2d.csv": lambda: _points(21, 10, 2),
     "points_3d.csv": lambda: _points(31, 8, 3),
@@ -117,10 +291,19 @@ INSTANCES = [
 # that set is solved by one algorithm and seed only; the rest of its
 # matrix is sampling, the path that solves sets of 150 points.
 LARGE = f"{INPUTS}/points_300.csv"
+TABLE_FILES = [
+    "fixtures/square.json",
+    "fixtures/lp_figure4.json",
+    "fixtures/cyclic3.json",
+    "fixtures/cyclic_cube_uso.json",
+    *(f"{INPUTS}/{name}" for name in TABLES),
+]
+# stands for a fresh file that a command writes with --out
+OUT = "@out"
 
 
-def commands():
-    """Every argv of the matrix, in order."""
+def geometric_commands():
+    """The argvs of the point and halfplane files, in order."""
     for path, n in INSTANCES:
         yield ["check", path]
         for fmt in ("text", "json") if n <= 8 else ("text",):
@@ -134,18 +317,46 @@ def commands():
             yield ["sampling", path, "--r", str(n // 2), "--trials", trials, "--format", fmt]
 
 
+def table_commands():
+    """The argvs of the table and USO files, in order."""
+    for path in TABLE_FILES:
+        yield ["check", path]
+        if "/bad_" in path:
+            continue
+        for fmt in ("text", "json"):
+            yield ["structure", path, "--format", fmt]
+        if "uso" in path:
+            yield ["uso", "tabulate", path]
+            yield ["uso", "tabulate", path, "--out", OUT]
+    for n, seed in ((3, "1"), (4, "2")):
+        yield ["probe", "--n", str(n), "--attempts", "60", "--seed", seed, "--out", OUT]
+
+
+def commands():
+    """Every argv of the matrix, in order."""
+    yield from geometric_commands()
+    yield from table_commands()
+
+
 def run(argv):
-    """(exit code, stdout, stderr) of one `vspace` command."""
+    """Exit code, stdout and stderr of one `vspace` command, and the text
+    it wrote to `--out` when that is the placeholder OUT."""
     from violator_spaces.cli import main
 
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
+    with tempfile.TemporaryDirectory() if OUT in argv else contextlib.nullcontext() as tmp:
+        target = os.path.join(tmp, "out.json") if tmp else None
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([target if arg == OUT else arg for arg in argv])
+        result = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+        if target is not None:
+            written = Path(target)
+            result["out_file"] = written.read_text(encoding="utf-8") if written.exists() else None
+    return result
 
 
 def write_inputs() -> None:
-    for name, make in GENERATED.items():
+    for name, make in {**GENERATED, **TABLES}.items():
         (HERE / name).write_text(make(), encoding="utf-8")
 
 
@@ -153,10 +364,7 @@ def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
     write_inputs()
-    rows = []
-    for argv in commands():
-        code, out, err = run(argv)
-        rows.append({"argv": argv, "code": code, "stdout": out, "stderr": err})
+    rows = [{"argv": argv, **run(argv)} for argv in commands()]
     MATRIX.write_text(json.dumps(rows, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"wrote {len(rows)} commands to {MATRIX.relative_to(ROOT)}")
 

@@ -441,6 +441,20 @@ def test_two_constraint_trivial_space_gives_duplicate_constraints():
     assert con.constraints == [(0,), (0,)]  # a true multiset of equal sets
 
 
+def test_to_concrete_reuses_the_structure_just_built(monkeypatch):
+    rnd = random.Random(77)
+    for _ in range(10):
+        problem = random_concrete_problem(rnd, rnd.randint(1, 7))
+        space = problem.to_abstract().violator_map()
+        fresh = problem.to_abstract().violator_map().to_concrete()
+        space.structure()
+        monkeypatch.setattr(space, "enumerate_bases", lambda: pytest.fail("rebuilt"))
+        con = space.to_concrete()
+        monkeypatch.undo()
+        assert (con.points, con.constraints, con.names) == (
+            fresh.points, fresh.constraints, fresh.names)
+
+
 def test_to_concrete_rejects_cyclic_space():
     with pytest.raises(CyclicSpaceError):
         cyclic3_space().to_concrete()

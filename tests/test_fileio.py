@@ -1,8 +1,12 @@
+import copy
+import random
+import sys
 import time
+import tracemalloc
 
 import pytest
 
-from violator_spaces import cyclic_cube_uso, validate_uso
+from violator_spaces import ExplicitViolatorSpace, cyclic_cube_uso, validate_uso
 from violator_spaces.fileio import (
     ParseError,
     abstract_from_dict,
@@ -188,3 +192,192 @@ def test_exponent_guard_keeps_bad_rationals_and_the_cap(load):
     assert first == 10**4300
     with pytest.raises(ParseError, match="exponent beyond 4300"):
         load(f"{header}\n1e4301,1{extra}\n")
+
+
+# -- the key lookup parses exactly like the name-by-name parser -------------
+
+
+def _old_member_list(members, index, what):
+    mask = 0
+    for name in members:
+        if not isinstance(name, str) or name not in index:
+            raise ParseError(f"{what}: unknown constraint name {name!r}")
+        bit = 1 << index[name]
+        if mask & bit:
+            raise ParseError(f"{what}: duplicate name {name!r}")
+        mask |= bit
+    return mask
+
+
+def _old_key(key, index, what):
+    return 0 if key == "" else _old_member_list(key.split(","), index, what)
+
+
+def _old_subset_key(mask, names):
+    return ",".join(names[i] for i in range(len(names)) if (mask >> i) & 1)
+
+
+def _old_explicit(doc):
+    """The explicit loader as it was before canonical keys were looked
+    up: every key and member list parsed name by name."""
+    names = doc["names"]
+    index = {name: i for i, name in enumerate(names)}
+    table = [None] * (1 << len(names))
+    for key, val in doc["violators"].items():
+        mask = _old_key(key, index, f"subset key {key!r}")
+        if table[mask] is not None:
+            raise ParseError(f"subset key {key!r} repeats an earlier subset")
+        if not isinstance(val, list):
+            raise ParseError(f"violators of {key!r} must be a list of names")
+        table[mask] = _old_member_list(val, index, f"violators of {key!r}")
+    missing = next((m for m, v in enumerate(table) if v is None), None)
+    if missing is not None:
+        raise ParseError(
+            f"missing subset key {_old_subset_key(missing, names)!r}:"
+            f" all {1 << len(names)} subsets are required"
+        )
+    return table
+
+
+def _old_abstract(doc):
+    names = doc["names"]
+    index = {name: i for i, name in enumerate(names)}
+    table = [None] * (1 << len(names))
+    for key, tok in doc["values"].items():
+        mask = _old_key(key, index, f"subset key {key!r}")
+        if table[mask] is not None:
+            raise ParseError(f"subset key {key!r} repeats an earlier subset")
+        if not isinstance(tok, str):
+            raise ParseError(f"value of {key!r} must be a token string")
+        table[mask] = tok
+    missing = next((m for m, v in enumerate(table) if v is None), None)
+    if missing is not None:
+        raise ParseError(f"missing subset key {_old_subset_key(missing, names)!r}")
+    return table
+
+
+# names that are prefixes of one another, so joined lists can collide
+NAME_POOL = ["a", "b", "ab", "a1", "a10", "b1", "c", "x"]
+
+
+def _members(mask, names):
+    return [name for i, name in enumerate(names) if mask >> i & 1]
+
+
+def _mutated_items(rnd, names, entries):
+    """The (key, value) items of a table document with a few seeded
+    edits: member orders, entry order, and the errors a file can hold."""
+    items = [[_members(g, names), v] for g, v in enumerate(entries)]
+    for _ in range(rnd.choice((0, 1, 1, 2, 3))):
+        if not items:
+            break
+        item = rnd.choice(items)
+        key, val = item
+        is_list = isinstance(val, list)
+        edit = rnd.randrange(13)
+        if edit == 0:
+            key.reverse()
+            if is_list:
+                val.reverse()
+        elif edit == 1:
+            rnd.shuffle(key)
+            if is_list:
+                rnd.shuffle(val)
+        elif edit == 2:  # a known name twice, or an unknown one
+            (key if not is_list or rnd.random() < 0.5 else val).append(
+                rnd.choice(names + ["zz"]) if names else "zz")
+        elif edit == 3 and is_list and len(val) >= 2:  # "a,b" as one element
+            i = rnd.randrange(len(val) - 1)
+            val[i:i + 2] = [val[i] + "," + val[i + 1]]
+        elif edit == 4 and is_list:
+            val.insert(rnd.randrange(len(val) + 1), "")
+        elif edit == 5:
+            bad = rnd.choice((0, None, ["a"], 1.5))
+            if is_list:
+                val.insert(rnd.randrange(len(val) + 1), bad)
+            else:
+                item[1] = bad
+        elif edit == 6:
+            item[1] = ",".join(map(str, val)) if is_list else [val]
+        elif edit == 7:  # another member order of a key, replacing an entry
+            other = rnd.choice(items)
+            other[0] = list(reversed(key)) if len(key) > 1 else list(key)
+        elif edit == 8:  # another member order of a key, as an extra entry
+            items.append([key[::-1], list(val) if is_list else val])
+        elif edit == 9:
+            items.remove(item)
+        elif edit == 10:
+            key.insert(rnd.randrange(len(key) + 1), "")
+        elif edit == 11 and is_list:  # a whole joined list as one element
+            item[1] = [",".join(map(str, val))] if val else [""]
+        else:
+            rnd.shuffle(items)
+    return [(",".join(k), v) for k, v in items]
+
+
+def _outcome(load, doc):
+    try:
+        return load(doc)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_explicit_loader_agrees_with_the_name_by_name_parser(seed):
+    rnd = random.Random(seed)
+    for _ in range(150):
+        n = rnd.randint(0, 5)
+        names = rnd.sample(NAME_POOL, n)
+        entries = [_members(rnd.getrandbits(n), names) for _ in range(1 << n)]
+        doc = {"names": names,
+               "violators": dict(_mutated_items(rnd, names, entries))}
+        want = _outcome(_old_explicit, copy.deepcopy(doc))
+        got = _outcome(lambda d: [explicit_from_dict(d).violator_mask(g)
+                                  for g in range(1 << n)], doc)
+        assert got == want, doc
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_abstract_loader_agrees_with_the_name_by_name_parser(seed):
+    rnd = random.Random(100 + seed)
+    for _ in range(150):
+        n = rnd.randint(0, 5)
+        names = rnd.sample(NAME_POOL, n)
+        order = ["lo", "mid", "hi"]
+        entries = [order[bin(g).count("1") * 3 // (n + 1)] for g in range(1 << n)]
+        doc = {"names": names, "order": order,
+               "values": dict(_mutated_items(rnd, names, entries))}
+        want = _outcome(_old_abstract, copy.deepcopy(doc))
+        got = _outcome(lambda d: abstract_from_dict(d).values, doc)
+        assert got == want, doc
+
+
+def test_joined_names_in_one_value_element_stay_unknown():
+    doc = explicit_to_dict(ExplicitViolatorSpace(2, [3, 2, 1, 0], names=["a", "b"]))
+    doc["violators"][""] = ["a,b"]
+    with pytest.raises(ParseError, match="^violators of '': unknown constraint name 'a,b'$"):
+        explicit_from_dict(doc)
+
+
+def test_a_document_short_of_keys_builds_no_key_table():
+    names = [f"n{i}" for i in range(20)]
+    doc = {"names": names, "violators": {"": []}}
+    # 2^20 keys cost at least an empty str each, plus the list's pointers
+    key_table = (1 << 20) * (sys.getsizeof("") + 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="^missing subset key 'n0': all 1048576"):
+            explicit_from_dict(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the parse still holds one 8-byte slot per subset
+    assert peak < key_table / 4
+
+
+def test_explicit_dump_gives_every_entry_its_own_list():
+    violators = explicit_to_dict(square_space())["violators"]
+    before = {key: list(val) for key, val in violators.items()}
+    for key in violators:
+        violators[key].append(key)
+    assert violators == {key: val + [key] for key, val in before.items()}

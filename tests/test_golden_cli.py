@@ -1,4 +1,4 @@
-"""Byte-identical CLI output of the geometric commands.
+"""Byte-identical CLI output of the geometric commands and table files.
 
 `golden/cli_matrix.json` holds the exit code, stdout and stderr of
 `check`, `structure`, `solve` (every --algo, two seeds, text and JSON)
@@ -7,19 +7,41 @@ and `sampling` on the point and halfplane fixtures, on seeded 1D, 2D,
 set of repeated, collinear, right-angled and cocircular points (the
 closed-form small balls' boundary cases).  A kernel that
 returns the same balls and optima, and raises the same errors, leaves
-every byte of it unchanged.  `golden/regenerate.py` rewrites it.
+every byte of it unchanged.
+
+It also holds `check`, `structure` (text and JSON), `uso tabulate` and
+`probe --out` on the table fixtures and on seeded explicit, abstract,
+concrete and USO files, some keyed in non-canonical member order, with
+the text each `--out` wrote: corrupted tables exit 1, and documents
+with an unknown, comma-holding, empty, non-string or duplicate name, a
+repeated or a missing key exit 2 with their parse error.
+`golden/regenerate.py` rewrites it.
 """
 
 import json
 
+import pytest
+
 from conftest import FIXTURES
-from golden.regenerate import MATRIX, commands, run
+from golden.regenerate import MATRIX, commands, geometric_commands, run
 
 
-def test_geometric_commands_match_the_golden_matrix(monkeypatch):
+@pytest.fixture
+def matrix(monkeypatch):
     monkeypatch.chdir(FIXTURES.parent)
-    expected = json.loads(MATRIX.read_text(encoding="utf-8"))
-    assert [row["argv"] for row in expected] == list(commands())
-    for row in expected:
-        code, out, err = run(row["argv"])
-        assert (code, out, err) == (row["code"], row["stdout"], row["stderr"]), row["argv"]
+    rows = json.loads(MATRIX.read_text(encoding="utf-8"))
+    assert [row["argv"] for row in rows] == list(commands())
+    return rows
+
+
+def _replay(rows):
+    for row in rows:
+        assert {"argv": row["argv"], **run(row["argv"])} == row, row["argv"]
+
+
+def test_geometric_commands_match_the_golden_matrix(matrix):
+    _replay(matrix[:len(list(geometric_commands()))])
+
+
+def test_table_commands_match_the_golden_matrix(matrix):
+    _replay(matrix[len(list(geometric_commands())):])
