@@ -93,21 +93,39 @@ class Rng:
 
         Draws r copies without replacement from the multiset in which
         members[i] appears weights[i] times, then collapses to the
-        distinct elements drawn.
+        distinct elements drawn.  Copy x in 0..total-1 belongs to the
+        first member whose running weight sum exceeds x; a Fenwick tree
+        over a copy of the weights (Fenwick, 1994) finds it as the
+        longest prefix summing to at most x, and takes the copy away, in
+        O(log g) per draw and O(g) to build.  The caller's weights stay
+        untouched.
         """
-        weights = list(weights)
-        total = sum(weights)
+        # tree[i] will sum the weights of positions i - (i & -i) .. i - 1
+        tree = [0, *weights]
+        total = sum(tree)
         if r > total:
             raise ValueError(f"cannot draw {r} of {total} copies")
+        g = len(tree) - 1
+        for i in range(1, g + 1):
+            up = i + (i & -i)
+            if up <= g:
+                tree[up] += tree[i]
+        top = (1 << g.bit_length()) >> 1
         support: Set[int] = set()
         for _ in range(r):
             x = self.randbelow(total)
-            for idx, w in enumerate(weights):
-                if x < w:
-                    break
-                x -= w
-            support.add(members[idx])
-            weights[idx] -= 1
+            pos, step = 0, top
+            while step:
+                nxt = pos + step
+                if nxt <= g and tree[nxt] <= x:
+                    pos = nxt
+                    x -= tree[nxt]
+                step >>= 1
+            support.add(members[pos])
+            i = pos + 1
+            while i <= g:
+                tree[i] -= 1
+                i += i & -i
             total -= 1
         return support
 

@@ -12,9 +12,10 @@ membership query.  It precomputes one bitmask per block, so a query on
 a vertex or on a set missing a block costs O(delta) big-integer
 operations (one evaluation or none); any other set falls back to a sink
 scan over its subgrid that charges one evaluation per membership query
-it makes.  Clarkson's solvers ask about vertices and about sets missing
-a block, except in the base case, which also asks about at most delta
-sets G - h, each a sink scan.
+it makes; the set's members are listed once per scan, so the scan's work
+is little more than those queries.  Clarkson's solvers ask about
+vertices and about sets missing a block, except in the base case, which
+also asks about at most delta sets G - h, each a sink scan.
 """
 
 from __future__ import annotations
@@ -340,9 +341,12 @@ class OutmapOracle(ViolationOracle):
     J".  With the block masks computed once, a set missing a block is
     answered in O(delta) big-integer operations and no evaluation, and a
     vertex in O(delta) operations and exactly one evaluation.  Any other
-    set falls back to a sink scan over its subgrid, which builds the
-    per-block member lists and charges one evaluation per membership
-    query it makes.
+    set falls back to a sink scan over its subgrid: G's members are
+    listed once, and each vertex J, in product order, is asked about the
+    members outside J in ascending order until one is in its outmap.
+    The first vertex where none is, the sink, is asked about h.  Every
+    membership query is charged one evaluation, and the scan makes no
+    query beyond these.
 
     A member scan asks about one set G for many h, so the oracle keeps
     the last queried set's classification: (mask, union of the blocks it
@@ -369,10 +373,6 @@ class OutmapOracle(ViolationOracle):
     def edge_evals(self) -> int:
         return self._edge_evals.value
 
-    def _query(self, J: Vertex, j: int) -> bool:
-        self._edge_evals.increment()
-        return self._membership(J, j)
-
     def _violates(self, G: ConstraintSet, h: int) -> bool:
         gmask = G.mask
         last = self._last
@@ -387,16 +387,21 @@ class OutmapOracle(ViolationOracle):
         _, missing, J = last
         if missing:
             return (missing >> h) & 1 == 1
+        charge = self._edge_evals.increment
+        member = self._membership
         if J is not None:
-            return self._query(J, h)
+            charge()
+            return member(J, h)
+        members = list(G)
         for J in _subgrid(gmask, self.partition):
-            is_sink = True
-            for j in G:
-                if j not in J and self._query(J, j):
-                    is_sink = False
-                    break
-            if is_sink:
-                return self._query(J, h)
+            for j in members:
+                if j not in J:
+                    charge()
+                    if member(J, j):
+                        break
+            else:
+                charge()
+                return member(J, h)
         raise AssertionError("no sink found: orientation is not a USO")
 
 

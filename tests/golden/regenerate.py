@@ -1,4 +1,5 @@
-"""Write the golden CLI matrix: geometric commands and table files.
+"""Write the golden CLI matrix: geometric commands, table files and USO
+solves.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -13,7 +14,7 @@ change, and say why in the change that does.
 
 The table files are built here from their own definitions, not by the
 library's writers: a concrete problem's violator table, its value
-table, a coordinate-order grid USO, and broken documents for every
+table, coordinate-order grid USOs, and broken documents for every
 parse error of an explicit or abstract file.
 """
 
@@ -271,6 +272,8 @@ GENERATED = {
     "points_1d.csv": lambda: _points(11, 10, 1),
     "points_3d_10.csv": lambda: _points(33, 10, 3),
     "points_degenerate.csv": _degenerate,
+    # solved only: its base cases run the oracle's sink scans
+    "uso_4x4x3.json": lambda: _coordinate_uso(443, (4, 4, 3)),
 }
 
 INSTANCES = [
@@ -297,6 +300,11 @@ TABLE_FILES = [
     "fixtures/cyclic3.json",
     "fixtures/cyclic_cube_uso.json",
     *(f"{INPUTS}/{name}" for name in TABLES),
+]
+USO_FILES = [
+    "fixtures/cyclic_cube_uso.json",
+    f"{INPUTS}/uso_3x2x2.json",
+    f"{INPUTS}/uso_4x4x3.json",
 ]
 # stands for a fresh file that a command writes with --out
 OUT = "@out"
@@ -332,10 +340,22 @@ def table_commands():
         yield ["probe", "--n", str(n), "--attempts", "60", "--seed", seed, "--out", OUT]
 
 
+def uso_commands():
+    """The argvs of the USO solves, whose output ends in `edge_evals:`."""
+    for path in USO_FILES:
+        for algo in ALGOS:
+            for seed in SEEDS:
+                for fmt in ("text", "json"):
+                    yield ["solve", path, "--algo", algo, "--seed", str(seed), "--format", fmt]
+
+
+SLICES = (geometric_commands, table_commands, uso_commands)
+
+
 def commands():
     """Every argv of the matrix, in order."""
-    yield from geometric_commands()
-    yield from table_commands()
+    for part in SLICES:
+        yield from part()
 
 
 def run(argv):

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from violator_spaces import (
     ConstraintSet,
@@ -74,6 +75,70 @@ def test_weighted_support_draws_over_uncapped_weights():
     assert Rng(0).weighted_support([10, 20], [heavy, 1], 2) <= {10, 20}
     with pytest.raises(ValueError):
         Rng(0).weighted_support([10, 20], [1, 1], 3)
+
+
+def _linear_weighted_support(rng, members, weights, r):
+    """The draws `weighted_support` is held to, frozen here: each copy is
+    found by a linear scan of the running weights."""
+    weights = list(weights)
+    total = sum(weights)
+    if r > total:
+        raise ValueError(f"cannot draw {r} of {total} copies")
+    support = set()
+    for _ in range(r):
+        x = rng.randbelow(total)
+        for idx, w in enumerate(weights):
+            if x < w:
+                break
+            x -= w
+        support.add(members[idx])
+        weights[idx] -= 1
+        total -= 1
+    return support
+
+
+def _assert_same_draws(seed, weights, r):
+    members = [100 + i for i in range(len(weights))]
+    before = list(weights)
+    fast, slow = Rng(seed), Rng(seed)
+    assert fast.weighted_support(members, weights, r) == _linear_weighted_support(
+        slow, members, weights, r
+    )
+    assert weights == before
+    assert fast.randbelow(1 << 64) == slow.randbelow(1 << 64)
+
+
+def test_weighted_support_draws_as_the_linear_scan():
+    rnd = random.Random(15)
+    for seed in range(200):
+        g = rnd.choice([0, 1, 2, 3, 7, 8, 9, 31, 64, 100])
+        weights = [rnd.choice([0, 0, 1, 2, 5, rnd.randint(0, 2**40)]) for _ in range(g)]
+        total = sum(weights)
+        for r in {0, min(total, 1), min(total, 40), min(total, rnd.randint(0, 200))}:
+            _assert_same_draws(seed, weights, r)
+    for weights in ([], [0], [1], [0, 0, 3, 0], [2**40], [2**40, 0, 2**40]):
+        for r in range(min(sum(weights), 5) + 1):
+            _assert_same_draws(7, weights, r)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.lists(st.integers(0, 4) | st.integers(0, 2**40), max_size=12),
+    st.integers(0, 2**64 - 1),
+    st.data(),
+)
+def test_weighted_support_draws_as_the_linear_scan_on_any_weights(weights, seed, data):
+    total = sum(weights)
+    r = data.draw(st.integers(0, min(total, 60)))
+    if total <= 60:
+        r = data.draw(st.sampled_from([r, total]))
+    _assert_same_draws(seed, weights, r)
+    excess = total + data.draw(st.integers(1, 3))
+    with pytest.raises(ValueError) as fast:
+        Rng(seed).weighted_support(list(range(len(weights))), weights, excess)
+    with pytest.raises(ValueError) as slow:
+        _linear_weighted_support(Rng(seed), list(range(len(weights))), weights, excess)
+    assert str(fast.value) == str(slow.value)
 
 
 # -- trivial basis -----------------------------------------------------

@@ -15,6 +15,10 @@ concrete and USO files, some keyed in non-canonical member order, with
 the text each `--out` wrote: corrupted tables exit 1, and documents
 with an unknown, comma-holding, empty, non-string or duplicate name, a
 repeated or a missing key exit 2 with their parse error.
+
+Last, it holds `solve` (every --algo, two seeds, text and JSON) on the
+cyclic cube, a 3x2x2 and a 4x4x3 coordinate-order USO, whose base
+cases run the oracle's sink scans: their `edge_evals` must not move.
 `golden/regenerate.py` rewrites it.
 """
 
@@ -23,7 +27,15 @@ import json
 import pytest
 
 from conftest import FIXTURES
-from golden.regenerate import MATRIX, commands, geometric_commands, run
+from golden.regenerate import (
+    MATRIX,
+    SLICES,
+    commands,
+    geometric_commands,
+    run,
+    table_commands,
+    uso_commands,
+)
 
 
 @pytest.fixture
@@ -34,14 +46,20 @@ def matrix(monkeypatch):
     return rows
 
 
-def _replay(rows):
-    for row in rows:
+def _replay(rows, part):
+    """Replay the rows of one slice of the matrix."""
+    start = sum(len(list(earlier())) for earlier in SLICES[:SLICES.index(part)])
+    for row in rows[start:start + len(list(part()))]:
         assert {"argv": row["argv"], **run(row["argv"])} == row, row["argv"]
 
 
 def test_geometric_commands_match_the_golden_matrix(matrix):
-    _replay(matrix[:len(list(geometric_commands()))])
+    _replay(matrix, geometric_commands)
 
 
 def test_table_commands_match_the_golden_matrix(matrix):
-    _replay(matrix[len(list(geometric_commands())):])
+    _replay(matrix, table_commands)
+
+
+def test_uso_solves_match_the_golden_matrix(matrix):
+    _replay(matrix, uso_commands)

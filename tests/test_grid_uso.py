@@ -6,6 +6,7 @@ from violator_spaces import (
     GenerationExhausted,
     GridPartition,
     GridUso,
+    OutmapOracle,
     Rng,
     coordinate_order_oracle,
     coordinate_order_uso,
@@ -289,6 +290,76 @@ def test_lazy_coordinate_oracle_matches_dense():
                     assert dense.violates(G, h) == lazy.violates(G, h)
         assert dense.edge_evals == lazy.edge_evals
 
+
+def _reference_query(partition, membership, G, h):
+    """One query answered by the per-query sink scan the oracle is held
+    to, frozen here: (answer, edge evaluations it charges)."""
+    from itertools import product
+
+    charged = 0
+
+    def query(J, j):
+        nonlocal charged
+        charged += 1
+        return membership(J, j)
+
+    gmask = G.mask
+    missing = 0
+    for b in partition.blocks:
+        if not any((gmask >> x) & 1 for x in b):
+            missing |= sum(1 << x for x in b)
+    if missing:
+        return (missing >> h) & 1 == 1, charged
+    if len(G) == partition.delta:
+        J = tuple(x for b in partition.blocks for x in b if (gmask >> x) & 1)
+        return query(J, h), charged
+    for J in product(*([x for x in b if (gmask >> x) & 1] for b in partition.blocks)):
+        is_sink = True
+        for j in G:
+            if j not in J and query(J, j):
+                is_sink = False
+                break
+        if is_sink:
+            return query(J, h), charged
+    raise AssertionError("no sink found: orientation is not a USO")
+
+
+def test_every_query_charges_what_the_reference_scan_charges():
+    oracles = [uso_oracle(cyclic_cube_uso())]
+    p322 = GridPartition.uniform([3, 2, 2])
+    oracles += [uso_oracle(random_uso(p322, Rng(seed))) for seed in (5, 6, 7)]
+    p44 = GridPartition.uniform([4, 4])
+    oracles.append(uso_oracle(coordinate_order_uso(p44, _ranked_at_random(p44, 3))))
+    p332 = GridPartition.uniform([3, 3, 2])
+    oracles.append(coordinate_order_oracle(p332, _ranked_at_random(p332, 4)))
+    for oracle in oracles:
+        n, scans = oracle.n, 0
+        for g in range(1 << n):
+            G = ConstraintSet(g, n)
+            for h in range(n):
+                if (g >> h) & 1:
+                    continue
+                before = oracle.edge_evals
+                answer = oracle.violates(G, h)
+                charged = oracle.edge_evals - before
+                expected = _reference_query(oracle.partition, oracle._membership, G, h)
+                assert (answer, charged) == expected, (g, h)
+                scans += charged > 1
+        assert scans > 0
+
+
+def test_subgrid_without_sink_raises_the_same_error():
+    # every direction leaves every vertex: no subgrid of two or more
+    # vertices has a sink
+    p = GridPartition.uniform([2, 2])
+    oracle = OutmapOracle(p, lambda J, j: True)
+    G = ConstraintSet.of([0, 1, 2], 4)
+    with pytest.raises(AssertionError) as expected:
+        _reference_query(p, lambda J, j: True, G, 3)
+    with pytest.raises(AssertionError) as raised:
+        oracle.violates(G, 3)
+    assert str(raised.value) == str(expected.value)
+    assert oracle.edge_evals == 2
 
 
 def test_oracle_answers_exactly_under_concurrent_queries():
