@@ -1,5 +1,5 @@
-"""Write the golden CLI matrix: geometric commands, table files and USO
-solves.
+"""Write the golden CLI matrix: geometric commands, table files, USO
+solves, table-file solves and USO generation.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -306,6 +306,14 @@ USO_FILES = [
     f"{INPUTS}/uso_3x2x2.json",
     f"{INPUTS}/uso_4x4x3.json",
 ]
+# solved through their violator tables: a concrete file's value table,
+# an abstract file's up masks and an explicit file as loaded
+SOLVED_TABLES = [
+    f"{INPUTS}/concrete_7.json",
+    f"{INPUTS}/concrete_10.json",
+    f"{INPUTS}/abstract_6.json",
+    f"{INPUTS}/explicit_8.json",
+]
 # stands for a fresh file that a command writes with --out
 OUT = "@out"
 
@@ -340,16 +348,33 @@ def table_commands():
         yield ["probe", "--n", str(n), "--attempts", "60", "--seed", seed, "--out", OUT]
 
 
-def uso_commands():
-    """The argvs of the USO solves, whose output ends in `edge_evals:`."""
-    for path in USO_FILES:
+def _solves(paths):
+    for path in paths:
         for algo in ALGOS:
             for seed in SEEDS:
                 for fmt in ("text", "json"):
                     yield ["solve", path, "--algo", algo, "--seed", str(seed), "--format", fmt]
 
 
-SLICES = (geometric_commands, table_commands, uso_commands)
+def uso_commands():
+    """The argvs of the USO solves, whose output ends in `edge_evals:`."""
+    yield from _solves(USO_FILES)
+
+
+def table_solve_commands():
+    """The argvs of the solves on table files."""
+    yield from _solves(SOLVED_TABLES)
+
+
+def generate_commands():
+    """The argvs of `uso generate`, one per kind."""
+    yield ["uso", "generate", "--kind", "coordinate", "--blocks", "4,4,3", "--seed", "1"]
+    yield ["uso", "generate", "--kind", "random", "--blocks", "2,2,2", "--seed", "1"]
+    yield ["uso", "generate", "--kind", "cyclic-cube"]
+
+
+SLICES = (geometric_commands, table_commands, uso_commands, table_solve_commands,
+          generate_commands)
 
 
 def commands():

@@ -19,7 +19,11 @@ repeated or a missing key exit 2 with their parse error.
 Last, it holds `solve` (every --algo, two seeds, text and JSON) on the
 cyclic cube, a 3x2x2 and a 4x4x3 coordinate-order USO, whose base
 cases run the oracle's sink scans: their `edge_evals` must not move.
-`golden/regenerate.py` rewrites it.
+
+It also holds `solve` (every --algo, two seeds, text and JSON) on a
+concrete, an abstract and an explicit file, which runs each file's
+violator table through its table oracle, and `uso generate` of every
+kind.  `golden/regenerate.py` rewrites it.
 """
 
 import json
@@ -31,9 +35,11 @@ from golden.regenerate import (
     MATRIX,
     SLICES,
     commands,
+    generate_commands,
     geometric_commands,
     run,
     table_commands,
+    table_solve_commands,
     uso_commands,
 )
 
@@ -63,3 +69,11 @@ def test_table_commands_match_the_golden_matrix(matrix):
 
 def test_uso_solves_match_the_golden_matrix(matrix):
     _replay(matrix, uso_commands)
+
+
+def test_table_solves_match_the_golden_matrix(matrix):
+    _replay(matrix, table_solve_commands)
+
+
+def test_uso_generation_matches_the_golden_matrix(matrix):
+    _replay(matrix, generate_commands)
