@@ -45,6 +45,7 @@ from .grid_uso import (
     EdgeConsistencyError,
     GenerationExhausted,
     GridPartition,
+    combed_random_uso,
     coordinate_order_oracle,
     coordinate_order_uso,
     cyclic_cube_uso,
@@ -335,11 +336,14 @@ def cmd_uso(args) -> int:
                 ]
                 u = coordinate_order_uso(partition, rankings)
             else:
+                rng = Rng(args.seed)
                 try:
-                    u = random_uso(partition, Rng(args.seed))
+                    u = random_uso(partition, rng)
                 except GenerationExhausted as exc:
-                    sys.stderr.write(f"error: {exc}\n")
-                    return EXIT_SOLVER
+                    sys.stderr.write(
+                        f"warning: {exc}; writing a combed random USO instead\n"
+                    )
+                    u = combed_random_uso(partition, rng)
         _emit_json(uso_to_dict(u), args.out)
         return EXIT_OK
 

@@ -18,6 +18,16 @@ pairs would return first.
 
 The ground-set size is capped at 24 table entries-wise; exhaustive
 checks get slow in practice above n = 16, which is where the CLI warns.
+
+Which constructors trust their input: the public ExplicitViolatorSpace
+and AbstractLpTable constructors check the table's length and every
+entry, and neither trusts the axioms until check_axioms() passes.
+Tables the library builds itself skip what holds by construction:
+ConcreteLpProblem.to_abstract returns a checked value table without
+running check_axioms, and violator_map, tabulate_oracle and
+fileio.explicit_from_dict hand their mask-built tables to the private
+ExplicitViolatorSpace._from_masks, which neither copies nor range-checks
+them.  The tests run the skipped checks on every such table.
 """
 
 from __future__ import annotations
@@ -124,8 +134,29 @@ class ExplicitViolatorSpace:
         for g, v in enumerate(table):
             if v < 0 or v & ~full:
                 raise ValueError(f"V entry for subset {g} is not a subset of H")
+        self._adopt(n, list(table), names, checked)
+
+    @classmethod
+    def _from_masks(
+        cls,
+        n: int,
+        table: List[int],
+        names: Optional[Sequence[str]] = None,
+        checked: bool = False,
+    ) -> "ExplicitViolatorSpace":
+        """A space over a table its caller built from masks: 2^n entries,
+        each a subset of {0..n-1}, with 0 <= n <= MAX_TABLE_N.  The list is
+        kept as it is, neither copied nor range-checked; the caller must
+        not change it afterwards."""
+        space = cls.__new__(cls)
+        space._adopt(n, table, names, checked)
+        return space
+
+    def _adopt(
+        self, n: int, table: List[int], names: Optional[Sequence[str]], checked: bool
+    ) -> None:
         self.n = n
-        self._table = list(table)
+        self._table = table
         self.names = _check_names(names, n) if names is not None else _default_names(n)
         self._checked = checked
         # the last structure() result; the table never changes
@@ -541,13 +572,16 @@ class AbstractLpTable:
     def violator_map(self) -> ExplicitViolatorSpace:
         """The induced violator table: h violates G iff adding h raises w.
 
-        These are the up masks a successful check_axioms kept; the
-        result satisfies both violator axioms and is acyclic, so it is
-        returned pre-checked.
+        These are the up masks that a successful check_axioms kept, or
+        that ConcreteLpProblem.to_abstract read off its intersection
+        table; the result satisfies both violator axioms and is acyclic,
+        so it is returned pre-checked.
         """
         if self._up is None:
             raise NotValidatedError("run check_axioms() on this table first")
-        return ExplicitViolatorSpace(self.n, self._up, names=self.names, checked=True)
+        return ExplicitViolatorSpace._from_masks(
+            self.n, self._up, names=self.names, checked=True
+        )
 
 
 class ConcreteLpProblem:
@@ -589,35 +623,42 @@ class ConcreteLpProblem:
 
         Constraints are identified by their list position, so duplicates
         stay distinct.  Empty intersections map to the reserved maximal
-        token.  The result is validated before it is returned.
+        token.  The table is valid by construction (a least point of an
+        intersection is monotone and local: the paper's concrete =>
+        LP-type direction), so it is not re-checked; tests run the full
+        check_axioms on it.  It comes back checked, with its up masks read
+        off the intersection table: adding h to G raises w(G) iff the
+        least point p of G's intersection is outside h's constraint, so
+        up[G] = without[p], which misses G since every member of G holds
+        p, and 0 when the intersection is empty.
         """
         n = self.n
         if n > MAX_TABLE_N:
             raise ValueError(f"too many constraints for a full table (n={n})")
-        m = len(self.points)
-        full_points = (1 << m) - 1
-        cmask = []
-        for tup in self.constraints:
-            mk = 0
+        points = self.points
+        m = len(points)
+        # without[p]: the constraints that do not contain point p
+        without = [(1 << n) - 1] * m
+        for h, tup in enumerate(self.constraints):
             for p in tup:
-                mk |= 1 << p
-            cmask.append(mk)
-        inter = [full_points] * (1 << n)
+                without[p] &= ~(1 << h)
+        cmask = [sum(1 << p for p in tup) for tup in self.constraints]
+        inter = [(1 << m) - 1] * (1 << n)
         for g in range(1, 1 << n):
             low = g & -g
             inter[g] = inter[g ^ low] & cmask[low.bit_length() - 1]
         values = []
-        for g in range(1 << n):
-            x = inter[g]
-            if x == 0:
-                values.append(INFINITY_TOKEN)
+        up = []
+        for x in inter:
+            if x:
+                p = (x & -x).bit_length() - 1
+                values.append(points[p])
+                up.append(without[p])
             else:
-                values.append(self.points[(x & -x).bit_length() - 1])
-        order = list(self.points) + [INFINITY_TOKEN]
-        table = AbstractLpTable(n, values, order, names=self.names)
-        witness = table.check_axioms()
-        if witness is not None:
-            raise AssertionError(f"concrete problem produced an invalid table: {witness}")
+                values.append(INFINITY_TOKEN)
+                up.append(0)
+        table = AbstractLpTable(n, values, points + [INFINITY_TOKEN], names=self.names)
+        table._up = up
         return table
 
 
@@ -641,4 +682,4 @@ def tabulate_oracle(oracle: ViolationOracle) -> ExplicitViolatorSpace:
                 v |= low
             m ^= low
         table.append(v)
-    return ExplicitViolatorSpace(n, table, names=oracle.names)
+    return ExplicitViolatorSpace._from_masks(n, table, names=oracle.names)

@@ -146,7 +146,7 @@ def explicit_from_dict(doc: dict) -> ExplicitViolatorSpace:
             f"missing subset key {_subset_key(missing, names)!r}:"
             f" all {1 << n} subsets are required"
         )
-    return ExplicitViolatorSpace(n, table, names=names)
+    return ExplicitViolatorSpace._from_masks(n, table, names=names)
 
 
 def explicit_to_dict(space: ExplicitViolatorSpace) -> dict:

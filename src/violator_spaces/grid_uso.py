@@ -316,6 +316,34 @@ def random_uso(
     raise GenerationExhausted(f"no USO found in {max_attempts} attempts")
 
 
+def combed_random_uso(partition: GridPartition, rng: Rng) -> GridUso:
+    """Random USO built without rejection, for grids where rejection
+    sampling rarely succeeds.
+
+    The first block is combed by a random ranking, so every edge in it
+    points to the lower rank, and each of its layers (one per element of
+    the block) gets an independent combed USO of the other blocks.  The
+    sink of any subgrid is the sink of its lowest-ranked layer, so every
+    subgrid has exactly one sink.
+    """
+    _check_dense(partition)
+
+    def comb(blocks) -> Dict[Vertex, int]:
+        if not blocks:
+            return {(): 0}
+        ranking = rng.subset(list(blocks[0]), len(blocks[0]))
+        outmap = {}
+        for pos, a in enumerate(ranking):
+            lower = _mask_of(ranking[:pos])
+            for J, s in comb(blocks[1:]).items():
+                outmap[(a,) + J] = lower | s
+        return outmap
+
+    u = GridUso(partition, comb(partition.blocks))
+    u._validated = True
+    return u
+
+
 def uso_violators(u: GridUso, G: ConstraintSet) -> ConstraintSet:
     """The induced violator set of G.
 

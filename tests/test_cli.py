@@ -291,6 +291,21 @@ def test_uso_generate_random_and_tabulate(capsys, tmp_path):
     assert code == 0
 
 
+def test_uso_generate_random_combs_where_rejection_sampling_fails(capsys, tmp_path):
+    out_file = tmp_path / "u.json"
+    code, out, err = run_cli(
+        capsys, "uso", "generate", "--blocks", "4,4", "--kind", "random",
+        "--out", out_file,
+    )
+    assert (code, out) == (0, "")
+    assert err == (
+        "warning: no USO found in 10000 attempts;"
+        " writing a combed random USO instead\n"
+    )
+    code, out, _ = run_cli(capsys, "check", out_file)
+    assert (code, out) == (0, "ok: unique-sink orientation over n=8, 2 blocks\n")
+
+
 # -- bench -----------------------------------------------------------------
 
 

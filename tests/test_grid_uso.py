@@ -21,6 +21,8 @@ from violator_spaces import (
     validate_uso,
 )
 
+from violator_spaces.grid_uso import combed_random_uso
+
 from conftest import random_uso_space
 
 SHAPES = [(2, 2), (3, 2), (2, 2, 2), (3, 2, 2)]
@@ -156,6 +158,19 @@ def test_random_uso_exhausts():
     p = GridPartition.uniform([2, 2])
     with pytest.raises(GenerationExhausted):
         random_uso(p, Rng(0), max_attempts=0)
+
+
+@pytest.mark.parametrize("sizes", [(4, 4), (3, 3, 2), (2, 2, 2, 2), (5,), (1, 3)])
+def test_combed_random_uso_is_a_seeded_uso(sizes):
+    p = GridPartition.uniform(list(sizes))
+    outmaps = set()
+    for seed in range(6):
+        u = combed_random_uso(p, Rng(seed))
+        assert u.validated
+        assert validate_uso(GridUso(p, u.outmap)) is None
+        assert combed_random_uso(p, Rng(seed)).outmap == u.outmap
+        outmaps.add(tuple(sorted(u.outmap.items())))
+    assert len(outmaps) > 1 or p.vertex_count() <= 3
 
 
 def test_random_uso_size_guard():
