@@ -1,5 +1,6 @@
 """Write the golden CLI matrix: geometric commands, table files, USO
-solves, table-file solves and USO generation.
+solves, table-file solves, USO generation, `bench` and solves that find
+no basis.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -373,8 +374,23 @@ def generate_commands():
     yield ["uso", "generate", "--kind", "cyclic-cube"]
 
 
+def bench_commands():
+    """The argvs of `bench`: seeded solves on lazy coordinate-order USOs
+    large enough to reach Clarkson's stages."""
+    yield ["bench", "--delta", "2", "--sizes", "16,64", "--trials", "3",
+           "--algos", "trivial,clarkson1,clarkson2"]
+    yield ["bench", "--delta", "3", "--sizes", "30,90", "--trials", "2"]
+
+
+def no_basis_commands():
+    """The argvs of solves whose --delta is below the combinatorial
+    dimension, which end in `NoBasisFound` and exit 3."""
+    yield ["solve", "fixtures/square.csv", "--delta", "1"]
+    yield ["solve", "fixtures/cyclic3.json", "--delta", "2"]
+
+
 SLICES = (geometric_commands, table_commands, uso_commands, table_solve_commands,
-          generate_commands)
+          generate_commands, bench_commands, no_basis_commands)
 
 
 def commands():

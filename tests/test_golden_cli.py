@@ -23,7 +23,9 @@ cases run the oracle's sink scans: their `edge_evals` must not move.
 It also holds `solve` (every --algo, two seeds, text and JSON) on a
 concrete, an abstract and an explicit file, which runs each file's
 violator table through its table oracle, and `uso generate` of every
-kind.  `golden/regenerate.py` rewrites it.
+kind.  Last come two `bench` runs on lazy coordinate-order USOs, which
+reach Clarkson's stages, and two solves with a --delta too small for
+any basis, which exit 3.  `golden/regenerate.py` rewrites it.
 """
 
 import json
@@ -34,9 +36,11 @@ from conftest import FIXTURES
 from golden.regenerate import (
     MATRIX,
     SLICES,
+    bench_commands,
     commands,
     generate_commands,
     geometric_commands,
+    no_basis_commands,
     run,
     table_commands,
     table_solve_commands,
@@ -77,3 +81,11 @@ def test_table_solves_match_the_golden_matrix(matrix):
 
 def test_uso_generation_matches_the_golden_matrix(matrix):
     _replay(matrix, generate_commands)
+
+
+def test_bench_runs_match_the_golden_matrix(matrix):
+    _replay(matrix, bench_commands)
+
+
+def test_solves_without_a_basis_match_the_golden_matrix(matrix):
+    _replay(matrix, no_basis_commands)
