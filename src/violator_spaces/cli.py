@@ -354,9 +354,6 @@ def cmd_uso(args) -> int:
         return EXIT_PARSE
     _validate(kind, obj)
     u, names = obj
-    if u.n > EXHAUSTIVE_WARN_N:
-        sys.stderr.write(f"error: n={u.n} exceeds the tabulation guard\n")
-        return EXIT_SIZE
     space = tabulate_oracle(uso_oracle(u, names=names))
     _emit_json(explicit_to_dict(space), args.out)
     return EXIT_OK

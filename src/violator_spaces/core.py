@@ -40,6 +40,14 @@ class _Counter:
         return int(repr(self._ticks)[len("count("):-1])
 
 
+def _bits(m: int) -> Iterator[int]:
+    """Indices of the set bits of m, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 class ConstraintSet:
     """Immutable subset of the ground set {0..n-1} with exact set algebra.
 
@@ -127,11 +135,7 @@ class ConstraintSet:
         return 0 <= h < self.n and (self.mask >> h) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return _bits(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -7,14 +7,20 @@ exact, and the conversions between the three equivalent representations
 problem) are the canonical constructions.
 
 Locality is checked on covering pairs (G minus x, G) only, in
-O(n * 2^n) for both violator and value tables.  Covering pairs suffice:
-let G be the first subset in mask order with a locality witness F.  Its
-proper subsets come earlier, so locality holds inside each of them, and
-for x in G outside F the chain F <= G - x < G forces a covering failure
-(G - x, G); for value tables monotonicity, checked first, makes w(G - x)
-equal w(F) and w(G).  The full submask scan runs only at that first
-failing G, so the witness returned is the one the scan over all submask
-pairs would return first.
+O(n * 2^n), and the first failing one is the witness: the one that the
+scan over all pairs (G in mask order, F in decreasing-mask order) finds
+first.  Let F be that witness for G.  G's proper subsets come earlier,
+so locality holds inside each of them, and for x in G outside F,
+locality on (F, G - x) makes G - x a witness for G too.  G - x contains
+F, so it is not scanned after F: F = G - x, the first failing covering
+pair (x ascending).
+
+A value table w is local exactly when its induced violator table
+V(G) = {h outside G : w(G + h) > w(G)} is, so that table is checked.  On
+a monotone w, G misses V(G - x) iff w(G - x) = w(G), and then V(G - x)
+is inside V(G): a covering pair fails for w iff it fails for V.  The
+argument above, with h raising w(G) but not w(F), makes the first
+witness (F, h) of w that covering pair with its least such h.
 
 The ground-set size is capped at 24 table entries-wise; exhaustive
 checks get slow in practice above n = 16, which is where the CLI warns.
@@ -23,8 +29,9 @@ Which constructors trust their input: the public ExplicitViolatorSpace
 and AbstractLpTable constructors check the table's length and every
 entry, and neither trusts the axioms until check_axioms() passes.
 Tables the library builds itself skip what holds by construction:
-ConcreteLpProblem.to_abstract returns a checked value table without
-running check_axioms, and violator_map, tabulate_oracle and
+ConcreteLpProblem.to_abstract returns a value table with its violator
+table already checked, without running check_axioms, and it,
+AbstractLpTable.check_axioms, tabulate_oracle and
 fileio.explicit_from_dict hand their mask-built tables to the private
 ExplicitViolatorSpace._from_masks, which neither copies nor range-checks
 them.  The tests run the skipped checks on every such table.
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import ConstraintSet, ViolationOracle
+from .core import ConstraintSet, ViolationOracle, _bits
 
 MAX_TABLE_N = 24
 EXHAUSTIVE_WARN_N = 16
@@ -124,7 +131,6 @@ class ExplicitViolatorSpace:
         n: int,
         table: Sequence[int],
         names: Optional[Sequence[str]] = None,
-        checked: bool = False,
     ):
         check_table_size("explicit", n)
         size = 1 << n
@@ -134,7 +140,7 @@ class ExplicitViolatorSpace:
         for g, v in enumerate(table):
             if v < 0 or v & ~full:
                 raise ValueError(f"V entry for subset {g} is not a subset of H")
-        self._adopt(n, list(table), names, checked)
+        self._adopt(n, list(table), names, False)
 
     @classmethod
     def _from_masks(
@@ -185,8 +191,8 @@ class ExplicitViolatorSpace:
 
         Returns None and marks the space checked on success, otherwise the
         first witness found (subsets scanned in mask order, submasks in
-        decreasing-mask order).  Locality is tested on covering pairs and
-        the submask scan runs only where one fails (module docstring).
+        decreasing-mask order), which is a covering pair (module
+        docstring).
         """
         table = self._table
         n = self.n
@@ -201,22 +207,12 @@ class ExplicitViolatorSpace:
                 low = m & -m
                 vf = table[g ^ low]
                 if g & vf == 0 and vf != vg:
-                    return self._locality_witness(g)
+                    return AxiomWitness(
+                        "locality", ConstraintSet(g ^ low, n), ConstraintSet(g, n)
+                    )
                 m ^= low
         self._checked = True
         return None
-
-    def _locality_witness(self, g: int) -> AxiomWitness:
-        """First submask F of g, in decreasing-mask order, with g disjoint
-        from V(F) but V(F) != V(g); g must have a failing covering pair."""
-        table = self._table
-        vg = table[g]
-        f = (g - 1) & g
-        while g & table[f] or table[f] == vg:
-            f = (f - 1) & g
-        return AxiomWitness(
-            "locality", ConstraintSet(f, self.n), ConstraintSet(g, self.n)
-        )
 
     # -- bases --------------------------------------------------------
 
@@ -412,14 +408,6 @@ class BasisStructure:
         )
 
 
-def _bits(m: int):
-    """Indices of the set bits of m, ascending."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
-
-
 def _pairs(rows: List[int]) -> frozenset:
     return frozenset((i, j) for i, row in enumerate(rows) for j in _bits(row))
 
@@ -489,12 +477,12 @@ class AbstractLpTable:
         self.values = list(values)
         self._ranks = [self._rank[tok] for tok in self.values]
         self.names = _check_names(names, n) if names is not None else _default_names(n)
-        # the violator table, kept by a successful check_axioms
-        self._up: Optional[List[int]] = None
+        # the checked violator table w induces, kept by check_axioms
+        self._space: Optional[ExplicitViolatorSpace] = None
 
     @property
     def checked(self) -> bool:
-        return self._up is not None
+        return self._space is not None
 
     def value_of(self, G: ConstraintSet) -> str:
         return self.values[G.mask]
@@ -504,10 +492,10 @@ class AbstractLpTable:
 
         Monotonicity is checked on covering pairs, which implies it for
         all nested pairs by transitivity of the token order.  Locality is
-        tested on covering pairs too, and the first witness (subsets in
-        mask order, F in decreasing-mask order, h ascending) is searched
-        only where one fails (module docstring).  On success the up masks
-        it builds are kept as the violator table.
+        checked on the induced violator table: its first witness (F, G),
+        with the least h raising w(G) but not w(F), is w's first witness
+        (subsets in mask order, F in decreasing-mask order, h ascending;
+        module docstring).  On success the checked violator table is kept.
         """
         r = self._ranks
         n = self.n
@@ -520,9 +508,7 @@ class AbstractLpTable:
                         "monotonicity", ConstraintSet(g ^ low, n), ConstraintSet(g, n)
                     )
                 m ^= low
-        # up[g]: the h outside g with w(g + h) > w(g).  On a monotone
-        # table, h outside g with w(g + h) == w(g) is exactly h outside
-        # g and outside up[g].
+        # up[g]: the h outside g with w(g + h) > w(g), the violator table
         full = (1 << n) - 1
         up = [0] * (1 << n)
         for g in range(1 << n):
@@ -535,53 +521,26 @@ class AbstractLpTable:
                     u |= low
                 m ^= low
             up[g] = u
-            m = g
-            while m:
-                low = m & -m
-                f = g ^ low
-                if r[f] == rg and u & ~up[f]:
-                    return self._locality_witness(g)
-                m ^= low
-        self._up = up
+        space = ExplicitViolatorSpace._from_masks(n, up, names=self.names)
+        witness = space.check_axioms()
+        if witness is not None:
+            raised = up[witness.G.mask] & ~up[witness.F.mask]
+            return AbstractAxiomWitness(
+                "locality", witness.F, witness.G, (raised & -raised).bit_length() - 1
+            )
+        self._space = space
         return None
-
-    def _locality_witness(self, g: int) -> AbstractAxiomWitness:
-        """First (F, h), F a submask of g in decreasing-mask order and h
-        outside g ascending, with w(F) == w(g) and h raising w(g) but not
-        w(F); g must have a failing covering pair."""
-        r = self._ranks
-        n = self.n
-        rg = r[g]
-        outside = ~g & ((1 << n) - 1)
-        f = (g - 1) & g
-        while True:
-            if r[f] == rg:
-                m = outside
-                while m:
-                    low = m & -m
-                    if r[g | low] > rg and r[f | low] == r[f]:
-                        return AbstractAxiomWitness(
-                            "locality",
-                            ConstraintSet(f, n),
-                            ConstraintSet(g, n),
-                            low.bit_length() - 1,
-                        )
-                    m ^= low
-            f = (f - 1) & g
 
     def violator_map(self) -> ExplicitViolatorSpace:
         """The induced violator table: h violates G iff adding h raises w.
 
-        These are the up masks that a successful check_axioms kept, or
-        that ConcreteLpProblem.to_abstract read off its intersection
-        table; the result satisfies both violator axioms and is acyclic,
-        so it is returned pre-checked.
+        It is the checked space that a successful check_axioms kept, or
+        that ConcreteLpProblem.to_abstract built from its intersection
+        table; it is acyclic.
         """
-        if self._up is None:
+        if self._space is None:
             raise NotValidatedError("run check_axioms() on this table first")
-        return ExplicitViolatorSpace._from_masks(
-            self.n, self._up, names=self.names, checked=True
-        )
+        return self._space
 
 
 class ConcreteLpProblem:
@@ -626,11 +585,11 @@ class ConcreteLpProblem:
         token.  The table is valid by construction (a least point of an
         intersection is monotone and local: the paper's concrete =>
         LP-type direction), so it is not re-checked; tests run the full
-        check_axioms on it.  It comes back checked, with its up masks read
-        off the intersection table: adding h to G raises w(G) iff the
-        least point p of G's intersection is outside h's constraint, so
-        up[G] = without[p], which misses G since every member of G holds
-        p, and 0 when the intersection is empty.
+        check_axioms on it.  It comes back checked, with its violator
+        table read off the intersection table: adding h to G raises w(G)
+        iff the least point p of G's intersection is outside h's
+        constraint, so up[G] = without[p], which misses G since every
+        member of G holds p, and 0 when the intersection is empty.
         """
         n = self.n
         if n > MAX_TABLE_N:
@@ -658,7 +617,9 @@ class ConcreteLpProblem:
                 values.append(INFINITY_TOKEN)
                 up.append(0)
         table = AbstractLpTable(n, values, points + [INFINITY_TOKEN], names=self.names)
-        table._up = up
+        table._space = ExplicitViolatorSpace._from_masks(
+            n, up, names=self.names, checked=True
+        )
         return table
 
 

@@ -21,6 +21,7 @@ also asks about at most delta sets G - h, each a sink scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -44,7 +45,8 @@ class GenerationExhausted(Exception):
 
 @dataclass(frozen=True)
 class GridPartition:
-    """Disjoint nonempty blocks covering {0..n-1}."""
+    """Disjoint nonempty blocks covering {0..n-1}; what is derived from
+    the blocks is computed on first read and kept."""
 
     blocks: Tuple[Tuple[int, ...], ...]
 
@@ -68,7 +70,7 @@ class GridPartition:
             start += s
         return cls.of(blocks)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
 
@@ -76,7 +78,7 @@ class GridPartition:
     def delta(self) -> int:
         return len(self.blocks)
 
-    @property
+    @cached_property
     def block_of(self) -> Tuple[int, ...]:
         out = [0] * self.n
         for i, b in enumerate(self.blocks):
@@ -87,7 +89,7 @@ class GridPartition:
     def vertices(self) -> Iterable[Vertex]:
         return product(*self.blocks)
 
-    @property
+    @cached_property
     def block_masks(self) -> Tuple[int, ...]:
         return tuple(_mask_of(b) for b in self.blocks)
 
@@ -149,8 +151,6 @@ class GridUso:
             if s < 0 or s & ~full or s & _mask_of(J):
                 raise ValueError(f"outmap of {J} is not a subset of H minus J")
         self.outmap = {J: outmap[J] for J in vertices}
-        self._block_of = block_of
-        self._block_masks = partition.block_masks
         for J in vertices:
             for j in range(n):
                 jj = J[block_of[j]]
@@ -182,7 +182,7 @@ class GridUso:
         return ConstraintSet(self.outmap[J], self.n)
 
     def neighbor(self, J: Vertex, j: int) -> Vertex:
-        return _step(J, j, self._block_of)
+        return _step(J, j, self.partition.block_of)
 
 
 @dataclass(frozen=True)
@@ -237,23 +237,22 @@ def coordinate_order_uso(
     The sink of any subgrid is its blockwise minimum, so this is always
     a USO, and the induced violator space is acyclic.
     """
-    rank = _ranks(partition, rankings)
+    member = _coordinate_order(partition, rankings)
     _check_dense(partition)
-    block_of = partition.block_of
-    outmap = {}
-    for J in partition.vertices():
-        s = 0
-        for j in range(partition.n):
-            jj = J[block_of[j]]
-            if j != jj and rank[j] < rank[jj]:
-                s |= 1 << j
-        outmap[J] = s
+    outmap = {
+        J: _mask_of(j for j in range(partition.n) if member(J, j))
+        for J in partition.vertices()
+    }
     u = GridUso(partition, outmap)
     u._validated = True
     return u
 
 
-def _ranks(partition: GridPartition, rankings: Sequence[Sequence[int]]) -> List[int]:
+def _coordinate_order(
+    partition: GridPartition, rankings: Sequence[Sequence[int]]
+) -> Callable[[Vertex, int], bool]:
+    """Membership "j is in the outmap of J" of the coordinate-order
+    orientation: j ranks below J's element of its block."""
     if len(rankings) != partition.delta:
         raise ValueError("need one ranking per block")
     rank = [-1] * partition.n
@@ -262,7 +261,8 @@ def _ranks(partition: GridPartition, rankings: Sequence[Sequence[int]]) -> List[
             raise ValueError(f"ranking {ordering} is not an order of block {b}")
         for pos, h in enumerate(ordering):
             rank[h] = pos
-    return rank
+    block_of = partition.block_of
+    return lambda J, j: rank[j] < rank[J[block_of[j]]]
 
 
 # Fixed 2x2x2 orientation over blocks ({0,1},{2,3},{4,5}): every subgrid
@@ -353,7 +353,7 @@ def uso_violators(u: GridUso, G: ConstraintSet) -> ConstraintSet:
     if not u.validated:
         raise ValueError("validate the orientation first")
     gmask = G.mask
-    missing = _missing_blocks(gmask, u._block_masks)
+    missing = _missing_blocks(gmask, u.partition.block_masks)
     if missing:
         return ConstraintSet(missing, u.n)
     for J in _subgrid(gmask, u.partition):
@@ -393,7 +393,6 @@ class OutmapOracle(ViolationOracle):
         super().__init__(partition.n, partition.delta, names=names)
         self.partition = partition
         self._membership = membership
-        self._block_masks = partition.block_masks
         self._edge_evals = _Counter()
         self._last: Tuple[int, int, Optional[Vertex]] = (-1, 0, None)
 
@@ -405,7 +404,7 @@ class OutmapOracle(ViolationOracle):
         gmask = G.mask
         last = self._last
         if last[0] != gmask:
-            block_masks = self._block_masks
+            block_masks = self.partition.block_masks
             missing = _missing_blocks(gmask, block_masks)
             J = None
             # the block count, not self.delta, which callers may override
@@ -453,12 +452,8 @@ def coordinate_order_oracle(
     Equivalent to uso_oracle(coordinate_order_uso(...)) but without the
     dense table, so it scales to the benchmark sizes.
     """
-    rank = _ranks(partition, rankings)
-    block_of = partition.block_of
     return OutmapOracle(
-        partition,
-        lambda J, j: rank[j] < rank[J[block_of[j]]],
-        names=names,
+        partition, _coordinate_order(partition, rankings), names=names
     )
 
 

@@ -291,6 +291,18 @@ def test_uso_generate_random_and_tabulate(capsys, tmp_path):
     assert code == 0
 
 
+def test_uso_tabulate_past_16_members_stops_at_validation(capsys, tmp_path):
+    out_file = tmp_path / "u.json"
+    code, _, _ = run_cli(
+        capsys, "uso", "generate", "--blocks", "17", "--kind", "coordinate",
+        "--out", out_file,
+    )
+    assert code == 0
+    code, out, err = run_cli(capsys, "uso", "tabulate", out_file)
+    assert (code, out) == (4, "")
+    assert err == "error: validation is exhaustive; n <= 16 only\n"
+
+
 def test_uso_generate_random_combs_where_rejection_sampling_fails(capsys, tmp_path):
     out_file = tmp_path / "u.json"
     code, out, err = run_cli(

@@ -292,6 +292,64 @@ def test_abstract_check_returns_the_full_scan_witness():
     assert min(kinds.get(k, 0) for k in ("valid", "monotonicity", "locality")) >= 100
 
 
+def _fused_abstract_check(n, r):
+    """Frozen copy of the value-table checker that kept its own locality
+    loop: monotonicity on covering pairs, then up[g] for each g in mask
+    order, failing the first g with a covering pair (f, g) where
+    w(f) == w(g) and up[g] is not inside up[f].  Returns the witness as
+    (axiom, F, G, h), or the up masks when there is none."""
+    for g in range(1 << n):
+        for x in range(n):
+            if (g >> x) & 1 and r[g ^ (1 << x)] > r[g]:
+                return ("monotonicity", g ^ (1 << x), g, None)
+    full = (1 << n) - 1
+    up = [0] * (1 << n)
+    for g in range(1 << n):
+        up[g] = sum(1 << h for h in range(n) if (full & ~g) >> h & 1 and r[g | 1 << h] > r[g])
+        for x in range(n):
+            f = g ^ (1 << x)
+            if (g >> x) & 1 and r[f] == r[g] and up[g] & ~up[f]:
+                f = (g - 1) & g
+                while True:
+                    if r[f] == r[g]:
+                        for h in range(n):
+                            if (full & ~g) >> h & 1 and r[g | 1 << h] > r[g] and r[f | 1 << h] == r[f]:
+                                return ("locality", f, g, h)
+                    f = (f - 1) & g
+    return up
+
+
+def test_abstract_check_matches_the_fused_checker():
+    """The value-table check, run on the violator table it induces,
+    returns the fused checker's witness, or its violator table."""
+    rnd = random.Random(17)
+    kinds = {}
+    for _ in range(1000):
+        n = rnd.randint(0, 7)
+        valid = random_concrete_problem(rnd, n).to_abstract()
+        order = valid.order
+        ranks = [0] * (1 << n)
+        for g in range(1, 1 << n):
+            ranks[g] = max(ranks[g ^ (1 << x)] for x in range(n) if (g >> x) & 1)
+            ranks[g] += rnd.random() < 0.3
+        monotone = [order[min(k, len(order) - 1)] for k in ranks]
+        random_values = [rnd.choice(order) for _ in range(1 << n)]
+        for values in (valid.values, monotone, random_values):
+            t = AbstractLpTable(n, values, order)
+            expected = _fused_abstract_check(n, [order.index(v) for v in values])
+            witness = t.check_axioms()
+            if isinstance(expected, tuple):
+                assert _witness_key(witness) == expected
+                assert not t.checked
+            else:
+                assert witness is None
+                space = t.violator_map()
+                assert [space.violator_mask(g) for g in range(1 << n)] == expected
+            kind = expected[0] if isinstance(expected, tuple) else "valid"
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.get(k, 0) for k in ("valid", "monotonicity", "locality")) >= 300
+
+
 # -- bases -------------------------------------------------------------
 
 

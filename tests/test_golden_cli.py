@@ -23,9 +23,9 @@ cases run the oracle's sink scans: their `edge_evals` must not move.
 It also holds `solve` (every --algo, two seeds, text and JSON) on a
 concrete, an abstract and an explicit file, which runs each file's
 violator table through its table oracle, and `uso generate` of every
-kind.  Last come two `bench` runs on lazy coordinate-order USOs, which
-reach Clarkson's stages, and two solves with a --delta too small for
-any basis, which exit 3.  `golden/regenerate.py` rewrites it.
+kind.  At the end come two `bench` runs on lazy coordinate-order
+USOs, which reach Clarkson's stages, and two solves with a --delta too
+small for any basis, which exit 3.  `golden/regenerate.py` rewrites it.
 """
 
 import json
