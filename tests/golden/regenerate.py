@@ -1,6 +1,6 @@
 """Write the golden CLI matrix: geometric commands, table files, USO
-solves, table-file solves, USO generation, `bench` and solves that find
-no basis.
+solves, table-file solves, USO generation, `bench`, solves that find
+no basis, and commands that end in an error.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -15,8 +15,10 @@ change, and say why in the change that does.
 
 The table files are built here from their own definitions, not by the
 library's writers: a concrete problem's violator table, its value
-table, coordinate-order grid USOs, and broken documents for every
-parse error of an explicit or abstract file.
+table, coordinate-order grid USOs, broken documents for every
+parse error of an explicit or abstract file, value tables that fail
+monotonicity or locality, and USO and concrete documents with a
+repeated vertex key or boolean point indices.
 """
 
 from __future__ import annotations
@@ -263,6 +265,37 @@ TABLES = {
 }
 
 
+def _value_table(names, rule) -> str:
+    """An abstract file whose value on G is rule(G), with G the set of
+    member indices, over the tokens "0" < "1" < "2"."""
+    values = {",".join(_members(g, names)): str(rule({i for i in range(len(names))
+                                                      if g >> i & 1}))
+              for g in range(1 << len(names))}
+    return json.dumps({"names": names, "values": values, "order": ["0", "1", "2"]})
+
+
+def _uso_repeated_vertex() -> str:
+    """The 2x2 coordinate-order grid USO with its sink keyed twice, the
+    second time in reversed member order and with a different outmap."""
+    return ('{"blocks": [["1", "2"], ["3", "4"]], "outmap": {"1,3": [], "3,1": ["2"],'
+            ' "1,4": ["3"], "2,3": ["1"], "2,4": ["1", "3"]}}')
+
+
+# inputs of the error rows only, so that no earlier slice runs them
+ERROR_INPUTS = {
+    # |G| mod 3: the triples fall below the pairs inside them
+    "corrupt_abstract_monotonicity.json": lambda: _value_table(list("abcd"), lambda G: len(G) % 3),
+    # 1 on nonempty sets, 2 on those holding a and b: adding b raises
+    # {a,c} but not {c}, which has the same value
+    "corrupt_abstract_locality.json": lambda: _value_table(
+        list("abcd"), lambda G: 2 if {0, 1} <= G else min(len(G), 1)),
+    "concrete_17.json": lambda: _concrete_file(17, 17),
+    "bad_uso_repeated_vertex.json": _uso_repeated_vertex,
+    "bad_concrete_bool_index.json": lambda: json.dumps(
+        {"points": ["x", "y"], "constraints": [[True], [0, False]]}),
+}
+
+
 GENERATED = {
     "points_2d.csv": lambda: _points(21, 10, 2),
     "points_3d.csv": lambda: _points(31, 8, 3),
@@ -389,8 +422,28 @@ def no_basis_commands():
     yield ["solve", "fixtures/cyclic3.json", "--delta", "2"]
 
 
+def error_commands():
+    """The argvs of inputs and options each command rejects: value
+    tables failing an axiom, a table too large to build, an unknown
+    --w name, --r equal to n, a table file given to `uso tabulate`, a
+    USO file keying one vertex twice and a concrete file whose point
+    indices are booleans."""
+    for name in ("corrupt_abstract_monotonicity.json", "corrupt_abstract_locality.json"):
+        path = f"{INPUTS}/{name}"
+        yield ["check", path]
+        yield ["structure", path]
+        yield ["solve", path]
+    yield ["structure", f"{INPUTS}/concrete_17.json"]
+    yield ["sampling", "fixtures/square.csv", "--r", "2", "--w", "a,zz"]
+    yield ["sampling", "fixtures/square.csv", "--r", "4"]
+    yield ["uso", "tabulate", "fixtures/cyclic3.json"]
+    yield ["check", f"{INPUTS}/bad_uso_repeated_vertex.json"]
+    yield ["check", f"{INPUTS}/bad_concrete_bool_index.json"]
+    yield ["structure", f"{INPUTS}/bad_concrete_bool_index.json"]
+
+
 SLICES = (geometric_commands, table_commands, uso_commands, table_solve_commands,
-          generate_commands, bench_commands, no_basis_commands)
+          generate_commands, bench_commands, no_basis_commands, error_commands)
 
 
 def commands():
@@ -417,7 +470,7 @@ def run(argv):
 
 
 def write_inputs() -> None:
-    for name, make in {**GENERATED, **TABLES}.items():
+    for name, make in {**GENERATED, **TABLES, **ERROR_INPUTS}.items():
         (HERE / name).write_text(make(), encoding="utf-8")
 
 

@@ -25,7 +25,14 @@ concrete, an abstract and an explicit file, which runs each file's
 violator table through its table oracle, and `uso generate` of every
 kind.  At the end come two `bench` runs on lazy coordinate-order
 USOs, which reach Clarkson's stages, and two solves with a --delta too
-small for any basis, which exit 3.  `golden/regenerate.py` rewrites it.
+small for any basis, which exit 3.
+
+Last come the commands that end in an error: `check`, `structure` and
+`solve` on value tables failing monotonicity or locality (exit 1), a
+17-constraint `structure` (exit 4), an unknown `--w` name, `--r` equal
+to n and `uso tabulate` on a table file (exit 2), and `check` on a USO
+file keying one vertex twice and on a concrete file with boolean point
+indices.  `golden/regenerate.py` rewrites it.
 """
 
 import json
@@ -38,6 +45,7 @@ from golden.regenerate import (
     SLICES,
     bench_commands,
     commands,
+    error_commands,
     generate_commands,
     geometric_commands,
     no_basis_commands,
@@ -89,3 +97,7 @@ def test_bench_runs_match_the_golden_matrix(matrix):
 
 def test_solves_without_a_basis_match_the_golden_matrix(matrix):
     _replay(matrix, no_basis_commands)
+
+
+def test_error_commands_match_the_golden_matrix(matrix):
+    _replay(matrix, error_commands)

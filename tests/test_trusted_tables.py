@@ -170,6 +170,10 @@ def test_every_table_file_builds_a_valid_table(path):
     if kind == "explicit":
         space = obj
     elif kind == "abstract":
+        # a corrupt value table has no violator table to compare
+        if path.name.startswith("corrupt_"):
+            assert obj.check_axioms() is not None
+            return
         assert obj.check_axioms() is None
         space = obj.violator_map()
     elif kind == "concrete":
