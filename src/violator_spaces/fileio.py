@@ -215,7 +215,7 @@ def concrete_from_dict(doc: dict) -> ConcreteLpProblem:
         raise ParseError('"constraints" must be a list of index lists')
     for c in constraints:
         if not isinstance(c, list) or not all(
-            isinstance(i, int) and 0 <= i < len(points) for i in c
+            type(i) is int and 0 <= i < len(points) for i in c
         ):
             raise ParseError(f"constraint {c} must list point indices")
     names = _load_names(doc) if "names" in doc else None
@@ -259,6 +259,8 @@ def uso_from_dict(doc: dict) -> Tuple[GridUso, List[str]]:
         ) != partition.delta:
             raise ParseError(f"vertex key {key!r} must pick one name per block")
         J = tuple(sorted(members, key=lambda h: block_of[h]))
+        if J in outmap:
+            raise ParseError(f"vertex key {key!r} repeats an earlier vertex")
         if not isinstance(dirs, list):
             raise ParseError(f"outmap of {key!r} must be a list of names")
         outmap[J] = _parse_member_list(dirs, index, f"outmap of {key!r}")

@@ -77,6 +77,13 @@ def test_concrete_bad_index_is_parse_error():
         concrete_from_dict({"points": ["x"], "constraints": [[1]]})
 
 
+def test_concrete_boolean_index_is_parse_error():
+    # bool is an int subclass: [[true], [0, false]] must not read as [[1], [0, 0]]
+    doc = {"points": ["x", "y"], "constraints": [[True], [0, False]]}
+    with pytest.raises(ParseError, match="must list point indices"):
+        concrete_from_dict(doc)
+
+
 def test_uso_round_trip():
     u = cyclic_cube_uso()
     doc = uso_to_dict(u)
@@ -90,6 +97,17 @@ def test_uso_bad_vertex_key():
     doc = uso_to_dict(cyclic_cube_uso())
     doc["outmap"]["1,2,3"] = []
     with pytest.raises(ParseError, match="one name per block"):
+        uso_from_dict(doc)
+
+
+@pytest.mark.parametrize("first, second", [("1,3", "3,1"), ("3,1", "1,3")])
+def test_uso_repeated_vertex_key_is_parse_error(first, second):
+    # either order of the two keys is rejected, so the file's meaning
+    # cannot depend on which one comes last
+    doc = {"blocks": [["1", "2"], ["3", "4"]],
+           "outmap": {first: [], second: ["2"], "1,4": ["3"], "2,3": ["1"],
+                      "2,4": ["1", "3"]}}
+    with pytest.raises(ParseError, match=f"vertex key '{second}' repeats an earlier vertex"):
         uso_from_dict(doc)
 
 

@@ -30,9 +30,8 @@ small for any basis, which exit 3.
 Last come the commands that end in an error: `check`, `structure` and
 `solve` on value tables failing monotonicity or locality (exit 1), a
 17-constraint `structure` (exit 4), an unknown `--w` name, `--r` equal
-to n and `uso tabulate` on a table file (exit 2), and `check` on a USO
-file keying one vertex twice and on a concrete file with boolean point
-indices.  `golden/regenerate.py` rewrites it.
+to n, `uso tabulate` on a table file, a USO file keying one vertex
+twice and a concrete file with boolean point indices (exit 2).  `golden/regenerate.py` rewrites it.
 """
 
 import json
