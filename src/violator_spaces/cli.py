@@ -5,12 +5,12 @@ Every randomized command prints its seed, and identical inputs, flags,
 and seed produce byte-identical output.  Exit codes: 0 success, 1 axiom
 or validation witness, 2 parse error, 3 solver failure, 4 size guard.
 
-Every command reads its input through `_open`, which parses the file
-once and validates it once, and `main` turns each error into its exit
-code.  `check` prints a witness on stdout, because the witness is its
-result; every other command reports an invalid input on stderr as
-"error: input failed validation: <witness>".  A halfplane subset whose
-region is empty is such a witness.
+Every command opens its input with `_open`, which parses and validates
+the file once, and gets its table from `_table`; only `main` turns an
+error into its `error:` line and exit code.  `check` prints a witness
+on stdout, as the witness is its result; every other command reports
+an invalid input on stderr as "error: input failed validation:
+<witness>".  A halfplane subset whose region is empty is such a witness.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .algorithms import (
     IterationGuardExceeded,
     NoBasisFound,
     Rng,
-    _mix64,
     basis1,
     basis2,
     sampling_check,
@@ -115,22 +114,24 @@ def _open(path: str):
     return kind, obj
 
 
-def _table(kind: str, obj) -> Optional[ExplicitViolatorSpace]:
-    """The checked violator table of a table file; None for live instances."""
+def _table(kind: str, obj) -> ExplicitViolatorSpace:
+    """The checked violator table of an opened file; a live instance is
+    tabulated and checked here, and a failure raises CheckFailed."""
     if kind == "explicit":
         return obj
     if kind == "abstract":
         return obj.violator_map()
     if kind == "concrete":
         return obj.to_abstract().violator_map()
-    return None
+    space = tabulate_oracle(_oracle(kind, obj, None))
+    _validate("explicit", space)
+    return space
 
 
 def _oracle(kind: str, obj, delta: Optional[int]) -> ViolationOracle:
     """The violation oracle of an opened file, with --delta applied."""
-    space = _table(kind, obj)
-    if space is not None:
-        return space.oracle(delta=delta)
+    if kind in ("explicit", "abstract", "concrete"):
+        return _table(kind, obj).oracle(delta=delta)
     instance, names = obj
     if kind == "uso":
         oracle = uso_oracle(instance, names=names)
@@ -151,13 +152,13 @@ def cmd_check(args) -> int:
     every other command it goes to stdout."""
     try:
         kind, obj = _open(args.path)
-        if kind in ("points", "halfplanes"):
-            oracle = _oracle(kind, obj, None)
-            if oracle.n > EXHAUSTIVE_WARN_N:
-                print(f"ok: parsed {kind} instance with n={oracle.n}"
-                      " (too large to tabulate)")
-                return EXIT_OK
-            _validate("explicit", tabulate_oracle(oracle))
+        # the oracle is built first, so that its own errors come first
+        if kind in ("points", "halfplanes") and _oracle(kind, obj, None).n > EXHAUSTIVE_WARN_N:
+            print(f"ok: parsed {kind} instance with n={len(obj[1])} (too large to tabulate)")
+            return EXIT_OK
+        # a USO passed its own check when it was opened
+        if kind != "uso":
+            space = _table(kind, obj)
     except EdgeConsistencyError as exc:
         print(f"edge consistency violated: {exc}")
         return EXIT_WITNESS
@@ -170,7 +171,6 @@ def cmd_check(args) -> int:
     elif kind == "abstract":
         print(f"ok: value table over n={obj.n} is monotone and local")
     elif kind == "concrete":
-        obj.to_abstract()
         print(
             f"ok: concrete problem with {len(obj.points)} points and"
             f" {obj.n} constraints"
@@ -179,7 +179,7 @@ def cmd_check(args) -> int:
         u, _ = obj
         print(f"ok: unique-sink orientation over n={u.n}, {u.delta} blocks")
     else:
-        print(f"ok: tabulated {kind} instance over n={oracle.n} satisfies both axioms")
+        print(f"ok: tabulated {kind} instance over n={space.n} satisfies both axioms")
     return EXIT_OK
 
 
@@ -208,13 +208,7 @@ def _parse_algos(text: str) -> List[str]:
 def cmd_solve(args) -> int:
     kind, obj = _open(args.path)
     oracle = _oracle(kind, obj, args.delta)
-    rng = Rng(args.seed)
-    try:
-        basis, stats = _run_algorithm(oracle, args.algo, rng)
-    except (NoBasisFound, IterationGuardExceeded) as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_SOLVER
-
+    basis, stats = _run_algorithm(oracle, args.algo, Rng(args.seed))
     names = oracle.names
     payload = {
         "instance": args.path,
@@ -251,24 +245,15 @@ def cmd_solve(args) -> int:
 
 def cmd_structure(args) -> int:
     kind, obj = _open(args.path)
-    if kind in ("explicit", "abstract", "concrete"):
-        oracle, n = None, obj.n
-    else:
-        oracle = _oracle(kind, obj, None)
-        n = oracle.n
+    n = obj.n if kind in ("explicit", "abstract", "concrete") else _oracle(kind, obj, None).n
     # an explicit file is a table already; only derived tables are
     # guarded, before they are built
     if kind != "explicit" and n > EXHAUSTIVE_WARN_N:
-        sys.stderr.write(
-            f"error: structure needs a table; n={n} exceeds"
-            f" the n <= {EXHAUSTIVE_WARN_N} tabulation guard\n"
+        raise ValueError(
+            f"structure needs a table; n={n} exceeds"
+            f" the n <= {EXHAUSTIVE_WARN_N} tabulation guard"
         )
-        return EXIT_SIZE
-    if oracle is None:
-        space = _table(kind, obj)
-    else:
-        space = tabulate_oracle(oracle)
-        _validate("explicit", space)
+    space = _table(kind, obj)
     st = space.structure()
     names = space.names
     labels = st.class_labels()
@@ -277,7 +262,7 @@ def cmd_structure(args) -> int:
         "instance": args.path,
         "n": space.n,
         "combinatorial_dimension": max(len(b) for b in st.bases),
-        "bases": [b.label(names).replace(",", "") or "∅" for b in st.bases],
+        "bases": [b.label(names).replace(",", "") for b in st.bases],
         "classes": [
             {
                 "label": labels[i],
@@ -329,14 +314,13 @@ def cmd_uso(args) -> int:
             u = cyclic_cube_uso()
         else:
             partition = GridPartition.uniform(args.blocks)
+            rng = Rng(args.seed)
             if args.kind == "coordinate":
-                rng = Rng(args.seed)
                 rankings = [
                     rng.subset(list(b), len(b)) for b in partition.blocks
                 ]
                 u = coordinate_order_uso(partition, rankings)
             else:
-                rng = Rng(args.seed)
                 try:
                     u = random_uso(partition, rng)
                 except GenerationExhausted as exc:
@@ -350,12 +334,10 @@ def cmd_uso(args) -> int:
     # tabulate: reject other kinds before validating anything
     kind, obj = load_path(args.path)
     if kind != "uso":
-        sys.stderr.write(f"error: {args.path} is not a USO file\n")
-        return EXIT_PARSE
+        raise ParseError(f"{args.path} is not a USO file")
     _validate(kind, obj)
-    u, names = obj
-    space = tabulate_oracle(uso_oracle(u, names=names))
-    _emit_json(explicit_to_dict(space), args.out)
+    # the tabulated table of a valid USO is valid: it is not re-checked
+    _emit_json(explicit_to_dict(tabulate_oracle(_oracle(kind, obj, None))), args.out)
     return EXIT_OK
 
 
@@ -382,6 +364,7 @@ def _uniform_blocks(n: int, delta: int) -> List[int]:
 
 def cmd_bench(args) -> int:
     rows = ["n,delta,algo,mean_primitive_calls,mean_loop_iterations,trials,seed"]
+    root = Rng(args.seed)
     for n in args.sizes:
         partition = GridPartition.uniform(_uniform_blocks(n, args.delta))
         for algo in args.algos:
@@ -389,7 +372,7 @@ def cmd_bench(args) -> int:
             total_iters = 0
             for trial in range(args.trials):
                 # same instance and randomness for every algorithm
-                trial_rng = Rng(_mix64(args.seed, n, trial))
+                trial_rng = root.spawn(n, trial)
                 rankings = [
                     trial_rng.subset(list(b), len(b)) for b in partition.blocks
                 ]
@@ -417,12 +400,10 @@ def cmd_sampling(args) -> int:
         for name in args.w.split(","):
             name = name.strip()
             if name not in index:
-                sys.stderr.write(f"error: unknown constraint name {name!r}\n")
-                return EXIT_PARSE
+                raise ParseError(f"unknown constraint name {name!r}")
             W = W.add(index[name])
     if not 0 <= args.r < oracle.n:
-        sys.stderr.write(f"error: need 0 <= r < n={oracle.n}\n")
-        return EXIT_PARSE
+        raise ParseError(f"need 0 <= r < n={oracle.n}")
     report = sampling_check(oracle, W, args.r, args.trials, Rng(args.seed))
     payload = {"instance": args.path, "kind": kind, "n": oracle.n,
                "delta": oracle.delta, **asdict(report)}
@@ -604,6 +585,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
+    except (NoBasisFound, IterationGuardExceeded) as exc:
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return EXIT_SOLVER
     except (CheckFailed, EdgeConsistencyError, InfeasibleRegion) as exc:
         sys.stderr.write(f"error: input failed validation: {exc}\n")
         return EXIT_WITNESS

@@ -83,10 +83,6 @@ class ConstraintSet:
             mask |= 1 << h
         return cls(mask, n)
 
-    @classmethod
-    def single(cls, h: int, n: int) -> "ConstraintSet":
-        return cls.of((h,), n)
-
     def _check_compatible(self, other: "ConstraintSet") -> None:
         if not isinstance(other, ConstraintSet):
             raise TypeError(f"expected ConstraintSet, got {type(other).__name__}")

@@ -491,36 +491,29 @@ class AbstractLpTable:
         """Verify monotonicity and locality exhaustively.
 
         Monotonicity is checked on covering pairs, which implies it for
-        all nested pairs by transitivity of the token order.  Locality is
-        checked on the induced violator table: its first witness (F, G),
-        with the least h raising w(G) but not w(F), is w's first witness
-        (subsets in mask order, F in decreasing-mask order, h ascending;
-        module docstring).  On success the checked violator table is kept.
+        all nested pairs; the same pass, visiting each pair (G - h, G)
+        once, fills the induced violator table.  Its first locality
+        witness (F, G), with the least h raising w(G) but not w(F), is
+        w's (subsets in mask order, F in decreasing-mask order, h
+        ascending; module docstring), and on success it is kept.
         """
         r = self._ranks
         n = self.n
-        for g in range(1 << n):
-            m = g
-            while m:
-                low = m & -m
-                if r[g ^ low] > r[g]:
-                    return AbstractAxiomWitness(
-                        "monotonicity", ConstraintSet(g ^ low, n), ConstraintSet(g, n)
-                    )
-                m ^= low
-        # up[g]: the h outside g with w(g + h) > w(g), the violator table
-        full = (1 << n) - 1
+        # up[f]: the h outside f with w(f + h) > w(f), the violator table
         up = [0] * (1 << n)
         for g in range(1 << n):
             rg = r[g]
-            u = 0
-            m = full & ~g
+            m = g
             while m:
                 low = m & -m
-                if r[g | low] > rg:
-                    u |= low
+                f = g ^ low
+                if r[f] > rg:
+                    return AbstractAxiomWitness(
+                        "monotonicity", ConstraintSet(f, n), ConstraintSet(g, n)
+                    )
+                if r[f] < rg:
+                    up[f] |= low
                 m ^= low
-            up[g] = u
         space = ExplicitViolatorSpace._from_masks(n, up, names=self.names)
         witness = space.check_axioms()
         if witness is not None:

@@ -6,16 +6,6 @@ picks one element per block.  An orientation is stored as an outmap
 has exactly one sink.  The induced violator mapping sends a set meeting
 every block to the outmap of its subgrid's sink, and any other set to
 the union of the blocks it misses.
-
-The oracle adapter charges one edge evaluation per single outmap
-membership query.  It precomputes one bitmask per block, so a query on
-a vertex or on a set missing a block costs O(delta) big-integer
-operations (one evaluation or none); any other set falls back to a sink
-scan over its subgrid that charges one evaluation per membership query
-it makes; the set's members are listed once per scan, so the scan's work
-is little more than those queries.  Clarkson's solvers ask about
-vertices and about sets missing a block, except in the base case, which
-also asks about at most delta sets G - h, each a sink scan.
 """
 
 from __future__ import annotations
@@ -27,8 +17,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algorithms import Rng
 from .core import ConstraintSet, ViolationOracle, _Counter
+from .explicit import EXHAUSTIVE_WARN_N
 
-MAX_VALIDATE_N = 16
 MAX_RANDOM_N = 12
 MAX_DENSE_VERTICES = 1 << 16
 
@@ -219,8 +209,8 @@ def validate_uso(u: GridUso) -> Optional[UsoWitness]:
     Returns None and marks the orientation validated when each of them
     has exactly one sink, otherwise the first offending subgrid.
     """
-    if u.n > MAX_VALIDATE_N:
-        raise ValueError(f"validation is exhaustive; n <= {MAX_VALIDATE_N} only")
+    if u.n > EXHAUSTIVE_WARN_N:
+        raise ValueError(f"validation is exhaustive; n <= {EXHAUSTIVE_WARN_N} only")
     for mask, members in _valid_subsets(u.partition):
         sinks = [J for J in product(*members) if u.outmap[J] & mask == 0]
         if len(sinks) != 1:

@@ -774,3 +774,30 @@ def test_invalid_input_matrix(capsys, tmp_path, name, command):
     assert {"out": out, "err": err} == {
         "out": "", "err": "", stream: message.replace("{path}", str(path))
     }
+
+
+# -- one error map -------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["sampling", "square.csv", "--r", "2", "--w", "a,zz"], "ParseError"),
+    (["sampling", "square.csv", "--r", "4"], "ParseError"),
+    (["uso", "tabulate", "cyclic3.json"], "ParseError"),
+    (["structure", "{concrete17}"], "ValueError"),
+    (["solve", "square.csv", "--delta", "1"], "NoBasisFound"),
+])
+def test_commands_raise_and_only_main_reports(capsys, tmp_path, monkeypatch, argv, error):
+    """A command raises its error and writes nothing; `main` turns the
+    exception into the one `error:` line and its exit code."""
+    from violator_spaces import cli
+
+    monkeypatch.chdir(FIXTURES)
+    argv = [a.replace("{concrete17}", str(_concrete_17(tmp_path))) for a in argv]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(Exception) as raised:
+        args.func(args)
+    assert type(raised.value).__name__ == error
+    assert capsys.readouterr() == ("", "")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == ({"ParseError": 2, "NoBasisFound": 3, "ValueError": 4}[error], "")
+    assert err.startswith("error: ") and err.count("\n") == 1
