@@ -47,7 +47,7 @@ _EXPONENT = re.compile(r"[eE][-+]?[0_]*([\d_]*)$")
 
 
 class ParseError(Exception):
-    """Input file does not match any supported schema."""
+    """An input file, or an option value read against it, that does not parse."""
 
 
 Loaded = Tuple[str, object]
