@@ -93,29 +93,9 @@ class ConstraintSet:
         self._check_compatible(other)
         return ConstraintSet(self.mask | other.mask, self.n)
 
-    def __and__(self, other: "ConstraintSet") -> "ConstraintSet":
-        self._check_compatible(other)
-        return ConstraintSet(self.mask & other.mask, self.n)
-
-    def __sub__(self, other: "ConstraintSet") -> "ConstraintSet":
-        self._check_compatible(other)
-        return ConstraintSet(self.mask & ~other.mask, self.n)
-
-    def __xor__(self, other: "ConstraintSet") -> "ConstraintSet":
-        self._check_compatible(other)
-        return ConstraintSet(self.mask ^ other.mask, self.n)
-
     def issubset(self, other: "ConstraintSet") -> bool:
         self._check_compatible(other)
         return self.mask & ~other.mask == 0
-
-    __le__ = issubset
-
-    def __lt__(self, other: "ConstraintSet") -> bool:
-        return self.issubset(other) and self.mask != other.mask
-
-    def complement(self) -> "ConstraintSet":
-        return ConstraintSet(~self.mask & ((1 << self.n) - 1), self.n)
 
     def add(self, h: int) -> "ConstraintSet":
         if not 0 <= h < self.n:

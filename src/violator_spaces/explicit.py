@@ -176,11 +176,6 @@ class ExplicitViolatorSpace:
         if not self._checked:
             raise NotValidatedError("run check_axioms() on this space first")
 
-    def violators(self, G: ConstraintSet) -> ConstraintSet:
-        if G.n != self.n:
-            raise ValueError("ground-set size mismatch")
-        return ConstraintSet(self._table[G.mask], self.n)
-
     def violator_mask(self, mask: int) -> int:
         return self._table[mask]
 
@@ -483,9 +478,6 @@ class AbstractLpTable:
     @property
     def checked(self) -> bool:
         return self._space is not None
-
-    def value_of(self, G: ConstraintSet) -> str:
-        return self.values[G.mask]
 
     def check_axioms(self) -> Optional[AbstractAxiomWitness]:
         """Verify monotonicity and locality exhaustively.

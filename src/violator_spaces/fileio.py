@@ -217,7 +217,7 @@ def concrete_from_dict(doc: dict) -> ConcreteLpProblem:
         if not isinstance(c, list) or not all(
             type(i) is int and 0 <= i < len(points) for i in c
         ):
-            raise ParseError(f"constraint {c} must list point indices")
+            raise ParseError(f"constraint {json.dumps(c)} must list point indices")
     names = _load_names(doc) if "names" in doc else None
     try:
         return ConcreteLpProblem(points, constraints, names=names)
@@ -272,9 +272,8 @@ def uso_from_dict(doc: dict) -> Tuple[GridUso, List[str]]:
         raise ParseError(str(exc)) from exc
 
 
-def uso_to_dict(u: GridUso, names: Optional[Sequence[str]] = None) -> dict:
-    if names is None:
-        names = [str(i + 1) for i in range(u.n)]
+def uso_to_dict(u: GridUso) -> dict:
+    names = [str(i + 1) for i in range(u.n)]
     return {
         "blocks": [[names[h] for h in b] for b in u.partition.blocks],
         "outmap": {
@@ -358,7 +357,7 @@ def halfplanes_from_csv(text: str) -> Tuple[HalfplaneLp, List[str]]:
 def load_text(text: str, filename: str = "<input>") -> Loaded:
     """Parse a JSON or CSV document into its tagged object."""
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

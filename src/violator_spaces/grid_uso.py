@@ -41,24 +41,16 @@ class GridPartition:
     blocks: Tuple[Tuple[int, ...], ...]
 
     @classmethod
-    def of(cls, blocks: Sequence[Iterable[int]]) -> "GridPartition":
-        tup = tuple(tuple(sorted(b)) for b in blocks)
-        if not tup or any(not b for b in tup):
-            raise ValueError("every block must be nonempty")
-        seen = [h for b in tup for h in b]
-        n = len(seen)
-        if sorted(seen) != list(range(n)):
-            raise ValueError("blocks must partition 0..n-1 exactly")
-        return cls(blocks=tup)
-
-    @classmethod
     def uniform(cls, sizes: Sequence[int]) -> "GridPartition":
+        """Consecutive blocks of the given sizes: 0..s0-1, s0..s0+s1-1, ..."""
+        if not sizes or any(s <= 0 for s in sizes):
+            raise ValueError("every block must be nonempty")
         blocks = []
         start = 0
         for s in sizes:
-            blocks.append(range(start, start + s))
+            blocks.append(tuple(range(start, start + s)))
             start += s
-        return cls.of(blocks)
+        return cls(blocks=tuple(blocks))
 
     @cached_property
     def n(self) -> int:
@@ -171,9 +163,6 @@ class GridUso:
     def s(self, J: Vertex) -> ConstraintSet:
         return ConstraintSet(self.outmap[J], self.n)
 
-    def neighbor(self, J: Vertex, j: int) -> Vertex:
-        return _step(J, j, self.partition.block_of)
-
 
 @dataclass(frozen=True)
 class UsoWitness:
@@ -273,7 +262,7 @@ _CYCLIC_CUBE_OUTMAP: Dict[Vertex, Tuple[int, ...]] = {
 
 def cyclic_cube_uso() -> GridUso:
     """Frozen 2x2x2 USO containing a directed cycle."""
-    partition = GridPartition.of([(0, 1), (2, 3), (4, 5)])
+    partition = GridPartition.uniform([2, 2, 2])
     outmap = {J: _mask_of(dirs) for J, dirs in _CYCLIC_CUBE_OUTMAP.items()}
     u = GridUso(partition, outmap)
     witness = validate_uso(u)
@@ -433,18 +422,14 @@ def uso_oracle(u: GridUso, names: Optional[Sequence[str]] = None) -> OutmapOracl
 
 
 def coordinate_order_oracle(
-    partition: GridPartition,
-    rankings: Sequence[Sequence[int]],
-    names: Optional[Sequence[str]] = None,
+    partition: GridPartition, rankings: Sequence[Sequence[int]]
 ) -> OutmapOracle:
     """Lazy oracle for coordinate-order orientations of any size.
 
     Equivalent to uso_oracle(coordinate_order_uso(...)) but without the
     dense table, so it scales to the benchmark sizes.
     """
-    return OutmapOracle(
-        partition, _coordinate_order(partition, rankings), names=names
-    )
+    return OutmapOracle(partition, _coordinate_order(partition, rankings))
 
 
 def sink_by_scan(u: GridUso) -> Vertex:
@@ -458,6 +443,7 @@ def sink_by_scan(u: GridUso) -> Vertex:
 def has_directed_cycle(u: GridUso) -> bool:
     """DFS cycle detection on the vertex digraph (arc per outmap entry)."""
     WHITE, GRAY, BLACK = 0, 1, 2
+    block_of = u.partition.block_of
     color: Dict[Vertex, int] = {J: WHITE for J in u.partition.vertices()}
     for start in u.partition.vertices():
         if color[start] != WHITE:
@@ -470,7 +456,7 @@ def has_directed_cycle(u: GridUso) -> bool:
             node, it = stack[-1]
             advanced = False
             for j in it:
-                nb = u.neighbor(node, j)
+                nb = _step(node, j, block_of)
                 if color[nb] == GRAY:
                     return True
                 if color[nb] == WHITE:

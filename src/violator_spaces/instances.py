@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -53,8 +53,9 @@ class UnboundedProblem(Exception):
 
 
 class InfeasibleRegion(Exception):
-    """A constraint subset has empty intersection with the implicit
-    region; well-formed instances never reach this."""
+    """The halfplanes have an empty intersection: for an `Lp2dOracle`
+    query, G's halfplanes miss the positive orthant, the implicit
+    region of every `HalfplaneLp`."""
 
 
 class _Homogeneous:
@@ -297,42 +298,31 @@ class MiniballOracle(ViolationOracle):
         return self.ball_of(G).excludes(self.point_set.points[h])
 
 
-POSITIVE_ORTHANT: Tuple[Scaled, ...] = (Scaled((-1, 0, 0), 1), Scaled((0, -1, 0), 1))
+# the implicit rows x >= 0 and y >= 0, which every optimum_of query
+# puts in front of G's rows
+_ORTHANT: Tuple[Ints, ...] = ((-1, 0, 0), (0, -1, 0))
 
 
 @dataclass
 class HalfplaneLp:
-    """Planar LP: minimize y, then x, over halfplanes a*x + b*y <= c.
+    """Planar LP: minimize y, then x, over halfplanes a*x + b*y <= c and
+    the positive orthant x, y >= 0.
 
-    The implicit constraints (positive orthant by default) sit outside
-    the ground set and must leave the objective bounded and the region
-    nonempty on their own.  A halfplane's integer row `N` is the same
-    halfplane scaled by the lcm of its denominators.
+    The orthant is the implicit region: it sits outside the ground set,
+    bounds the objective and is nonempty.  A halfplane's integer row `N`
+    is the same halfplane scaled by the lcm of its denominators.
     """
 
     halfplanes: List[Scaled]
-    implicit: Tuple[Scaled, ...] = POSITIVE_ORTHANT
 
     @classmethod
-    def from_rows(
-        cls, rows: Sequence[Sequence], implicit: Sequence[Sequence] = POSITIVE_ORTHANT
-    ) -> "HalfplaneLp":
+    def from_rows(cls, rows: Sequence[Sequence]) -> "HalfplaneLp":
         hp = [Scaled.of(row) for row in rows]
-        imp = tuple(Scaled.of(row) for row in implicit)
-        if any(len(h.N) != 3 for h in hp) or any(len(h.N) != 3 for h in imp):
+        if any(len(h.N) != 3 for h in hp):
             raise ValueError("halfplanes are (a, b, c) triples")
-        if any(h.N[0] == 0 and h.N[1] == 0 for h in hp + list(imp)):
+        if any(h.N[0] == 0 and h.N[1] == 0 for h in hp):
             raise ValueError("halfplane needs a nonzero normal")
-        return cls(halfplanes=hp, implicit=imp)
-
-    @cached_property
-    def implicit_rows(self) -> Tuple[Ints, ...]:
-        """The implicit integer rows, solved alone once per LP: raises
-        UnboundedProblem or InfeasibleRegion when they leave the
-        objective unbounded or the region empty."""
-        rows = tuple(h.N for h in self.implicit)
-        _lex_optimum(rows)
-        return rows
+        return cls(halfplanes=hp)
 
 
 def _lex_optimum(constraints: Sequence[Ints]) -> Scaled:
@@ -434,15 +424,13 @@ class Lp2dOracle(ViolationOracle):
     def __init__(self, lp: HalfplaneLp, names: Optional[Sequence[str]] = None):
         super().__init__(len(lp.halfplanes), 2, names=names)
         self.lp = lp
-        # fails fast when the implicit region alone is unbounded or empty
-        self._implicit = lp.implicit_rows
         self._opt_cache: Dict[int, Scaled] = {}
 
     def optimum_of(self, G: ConstraintSet) -> Scaled:
         cached = self._opt_cache.get(G.mask)
         if cached is None:
             halfplanes = self.lp.halfplanes
-            cached = _lex_optimum([*self._implicit, *(halfplanes[i].N for i in G)])
+            cached = _lex_optimum([*_ORTHANT, *(halfplanes[i].N for i in G)])
             self._opt_cache[G.mask] = cached
         return cached
 

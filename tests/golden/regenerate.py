@@ -293,6 +293,9 @@ ERROR_INPUTS = {
     "bad_uso_repeated_vertex.json": _uso_repeated_vertex,
     "bad_concrete_bool_index.json": lambda: json.dumps(
         {"points": ["x", "y"], "constraints": [[True], [0, False]]}),
+    # JSON whose top level is an array, on one line and on several
+    "bad_array_inline.json": lambda: "[1, 2]\n",
+    "bad_array_lines.json": lambda: json.dumps([{"names": ["a"]}, 2], indent=1) + "\n",
 }
 
 
@@ -426,8 +429,8 @@ def error_commands():
     """The argvs of inputs and options each command rejects: value
     tables failing an axiom, a table too large to build, an unknown
     --w name, --r equal to n, a table file given to `uso tabulate`, a
-    USO file keying one vertex twice and a concrete file whose point
-    indices are booleans."""
+    USO file keying one vertex twice, a concrete file whose point
+    indices are booleans and JSON files whose top level is an array."""
     for name in ("corrupt_abstract_monotonicity.json", "corrupt_abstract_locality.json"):
         path = f"{INPUTS}/{name}"
         yield ["check", path]
@@ -440,6 +443,8 @@ def error_commands():
     yield ["check", f"{INPUTS}/bad_uso_repeated_vertex.json"]
     yield ["check", f"{INPUTS}/bad_concrete_bool_index.json"]
     yield ["structure", f"{INPUTS}/bad_concrete_bool_index.json"]
+    yield ["check", f"{INPUTS}/bad_array_inline.json"]
+    yield ["check", f"{INPUTS}/bad_array_lines.json"]
 
 
 SLICES = (geometric_commands, table_commands, uso_commands, table_solve_commands,

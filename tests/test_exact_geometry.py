@@ -25,8 +25,11 @@ from violator_spaces import (
     smallest_enclosing_ball,
 )
 from violator_spaces.instances import (
-    _circumball, _lex_optimum, _shuffle_order, _solve_integer,
+    Scaled, _circumball, _lex_optimum, _shuffle_order, _solve_integer,
 )
+
+# the implicit region of every HalfplaneLp: x >= 0 and y >= 0
+ORTHANT = [(-1, 0, 0), (0, -1, 0)]
 
 
 # -- Fraction reference kernels -----------------------------------------
@@ -420,9 +423,8 @@ def test_lex_optimum_equals_the_fraction_reference():
             [(-1, 0, 3), (0, -1, Fraction(-1, 2)), (1, 1, 2)],
         ])
         rows = [tuple(map(Fraction, r)) for r in implicit] + _lp_rows(rnd, rnd.randint(0, 8))
-        lp = HalfplaneLp.from_rows(rows[len(implicit):], implicit=rows[:len(implicit)])
         ref = _outcome(ref_lex_optimum, rows)
-        assert _outcome(_lex_optimum, [h.N for h in lp.implicit + tuple(lp.halfplanes)]) == ref
+        assert _outcome(_lex_optimum, [Scaled.of(r).N for r in rows]) == ref
         seen.add(ref if isinstance(ref, type) else "optimum")
     assert seen == {UnboundedProblem, InfeasibleRegion, "optimum"}
 
@@ -592,10 +594,9 @@ def test_lp_oracle_equals_the_reference_on_40_halfplanes():
             rows.append((a, b, through if through >= inner and rnd.random() < 0.5
                          else inner + _rational(rnd, 0, 5)))
         oracle = Lp2dOracle(HalfplaneLp.from_rows(rows))
-        implicit = list(HalfplaneLp.from_rows(rows).implicit)
         for _ in range(15):
             G = ConstraintSet(rnd.getrandbits(40), 40)
-            x, y = ref_lex_optimum(implicit + [rows[i] for i in G])
+            x, y = ref_lex_optimum(ORTHANT + [rows[i] for i in G])
             assert oracle.optimum_of(G) == (x, y)
             for h in range(40):
                 if h not in G:
@@ -604,39 +605,10 @@ def test_lp_oracle_equals_the_reference_on_40_halfplanes():
 
 
 def test_lp_errors_are_raised_by_the_oracle():
-    with pytest.raises(UnboundedProblem):
-        Lp2dOracle(HalfplaneLp.from_rows([(1, 1, 5)], implicit=[(0, -1, 0)]))
     # x <= -1/3 conflicts with the positive orthant
     oracle = Lp2dOracle(HalfplaneLp.from_rows([(1, 0, Fraction(-1, 3)), (1, 1, 5)]))
     with pytest.raises(InfeasibleRegion):
         oracle.violates(ConstraintSet.of([0], 2), 1)
-
-
-def test_implicit_region_is_solved_once_per_lp(monkeypatch):
-    import violator_spaces.instances as inst
-
-    solved = []
-
-    def counted(rows):
-        solved.append(len(rows))
-        return _lex_optimum(rows)
-
-    monkeypatch.setattr(inst, "_lex_optimum", counted)
-    lp = HalfplaneLp.from_rows([(1, 1, 5), (-1, 2, 7)])
-    first, second = Lp2dOracle(lp), Lp2dOracle(lp)
-    assert solved == [2]
-    G = ConstraintSet.of([0], 2)
-    assert first.violates(G, 1) == second.violates(G, 1)
-    assert solved == [2, 3, 3]
-    # a failing region is not kept: every oracle over it raises
-    bad = HalfplaneLp.from_rows([(1, 1, 5)], implicit=[(0, -1, 0)])
-    for _ in range(2):
-        with pytest.raises(UnboundedProblem, match="feasible ray"):
-            Lp2dOracle(bad)
-    empty = HalfplaneLp.from_rows([(1, 1, 5)], implicit=[(1, 0, -1), (-1, 0, -1), (0, -1, 0)])
-    for _ in range(2):
-        with pytest.raises(InfeasibleRegion):
-            Lp2dOracle(empty)
 
 
 # -- every query of small instances --------------------------------------
@@ -670,9 +642,8 @@ def test_every_lp_query_equals_the_reference():
         for a, b, _ in _lp_rows(rnd, n):
             rows.append((a, b, a * Fraction(3, 2) + b * Fraction(7, 3) + _rational(rnd, 0, 5)))
         oracle = Lp2dOracle(HalfplaneLp.from_rows(rows))
-        implicit = list(HalfplaneLp.from_rows(rows).implicit)
         for G, h in _all_queries(oracle):
-            x, y = ref_lex_optimum(implicit + [rows[i] for i in G])
+            x, y = ref_lex_optimum(ORTHANT + [rows[i] for i in G])
             a, b, c = rows[h]
             assert oracle.optimum_of(G) == (x, y)
             assert oracle.violates(G, h) is (a * x + b * y > c)

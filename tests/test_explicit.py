@@ -523,16 +523,16 @@ def test_concrete_to_abstract_values():
     con = square.to_concrete()
     table = con.to_abstract()
     # w({a, b}) is the class holding the ab side
-    w = table.value_of(ConstraintSet.of([0, 1], 4))
+    w = table.values[0b0011]
     assert w == "ab"
     # the empty family evaluates to the least point
-    assert table.value_of(ConstraintSet.empty(4)) == con.points[0]
+    assert table.values[0] == con.points[0]
 
 
 def test_concrete_empty_intersection_maps_to_infinity():
     p = ConcreteLpProblem(["x0", "x1"], [[0], [1]])
     table = p.to_abstract()
-    assert table.value_of(ConstraintSet.of([0, 1], 2)) == "+inf"
+    assert table.values[0b11] == "+inf"
     assert table.check_axioms() is None
 
 

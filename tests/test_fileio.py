@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 import sys
 import time
@@ -80,7 +81,13 @@ def test_concrete_bad_index_is_parse_error():
 def test_concrete_boolean_index_is_parse_error():
     # bool is an int subclass: [[true], [0, false]] must not read as [[1], [0, 0]]
     doc = {"points": ["x", "y"], "constraints": [[True], [0, False]]}
-    with pytest.raises(ParseError, match="must list point indices"):
+    with pytest.raises(ParseError, match=r"^constraint \[true\] must list point indices$"):
+        concrete_from_dict(doc)
+
+
+def test_concrete_string_index_is_quoted_as_the_file_spells_it():
+    doc = json.loads('{"points": ["x"], "constraints": [["a"]]}')
+    with pytest.raises(ParseError, match=r'^constraint \["a"\] must list point indices$'):
         concrete_from_dict(doc)
 
 
@@ -159,6 +166,12 @@ def test_sniffing_all_fixture_files(fixtures_dir):
 def test_sniffing_rejects_unknown_json():
     with pytest.raises(ParseError, match="unrecognized JSON keys"):
         load_text('{"foo": 1}')
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", ' [\n {"names": ["a"]},\n 2\n]\n', "[]"])
+def test_json_top_level_array_is_not_read_as_csv(text):
+    with pytest.raises(ParseError, match="^f.json: top level must be an object$"):
+        load_text(text, filename="f.json")
 
 
 def test_invalid_json_reports_position():

@@ -31,7 +31,8 @@ Last come the commands that end in an error: `check`, `structure` and
 `solve` on value tables failing monotonicity or locality (exit 1), a
 17-constraint `structure` (exit 4), an unknown `--w` name, `--r` equal
 to n, `uso tabulate` on a table file, a USO file keying one vertex
-twice and a concrete file with boolean point indices (exit 2).  `golden/regenerate.py` rewrites it.
+twice, a concrete file with boolean point indices and JSON files whose
+top level is an array (exit 2).  `golden/regenerate.py` rewrites it.
 """
 
 import json

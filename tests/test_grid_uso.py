@@ -35,13 +35,10 @@ def _ranked(partition):
 # -- partitions and construction ----------------------------------------
 
 
-def test_partition_must_cover_exactly():
-    with pytest.raises(ValueError):
-        GridPartition.of([(0, 1), (3,)])
-    with pytest.raises(ValueError):
-        GridPartition.of([(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        GridPartition.of([(0,), ()])
+def test_partition_blocks_must_be_nonempty():
+    for sizes in ([], [2, 0]):
+        with pytest.raises(ValueError, match="every block must be nonempty"):
+            GridPartition.uniform(sizes)
 
 
 def test_partition_uniform():

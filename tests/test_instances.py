@@ -12,7 +12,6 @@ from violator_spaces import (
     MiniballOracle,
     PointSet,
     Rng,
-    UnboundedProblem,
     smallest_enclosing_ball,
     solve,
     tabulate,
@@ -208,12 +207,6 @@ def test_lp_fig5_shows_nonmonotone_violators():
     assert oracle.violates(G, 3)
     space = tabulate(oracle)
     assert space.check_axioms() is None
-
-
-def test_lp_unbounded_implicit_region_rejected():
-    # only y >= 0: x is free, so the tie-break direction is unbounded
-    with pytest.raises(UnboundedProblem):
-        Lp2dOracle(HalfplaneLp.from_rows([(1, 1, 5)], implicit=[(0, -1, 0)]))
 
 
 def test_lp_infeasible_subset_raises():
