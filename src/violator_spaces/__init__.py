@@ -3,7 +3,6 @@ basis finding over explicit tables, geometric instances, and grid USOs."""
 
 from .core import ConstraintSet, OracleContractError, SolveStats, ViolationOracle
 from .explicit import (
-    AbstractAxiomWitness,
     AbstractLpTable,
     AxiomWitness,
     BasisClass,

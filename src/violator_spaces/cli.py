@@ -30,7 +30,7 @@ from .algorithms import (
     sampling_check,
     trivial,
 )
-from .core import ConstraintSet, SolveStats, ViolationOracle
+from .core import ConstraintSet, SolveStats, ViolationOracle, _bits
 from .explicit import (
     EXHAUSTIVE_WARN_N, ExplicitViolatorSpace, check_table_size, tabulate_oracle,
 )
@@ -95,16 +95,13 @@ def _validate(kind: str, obj) -> None:
             f"warning: exhaustive axiom check over n={obj.n} subsets is slow\n"
         )
     if kind in ("explicit", "abstract"):
-        witness = obj.check_axioms()
-        if witness is not None:
-            raise CheckFailed(witness.describe(obj.names))
+        witness, names = obj.check_axioms(), obj.names
     elif kind == "uso":
-        u, names = obj
-        witness = validate_uso(u)
-        if witness is not None:
-            raise CheckFailed(
-                f"subgrid {witness.G.label(names)} has {len(witness.sinks)} sinks"
-            )
+        witness, names = validate_uso(obj[0]), obj[1]
+    else:
+        return
+    if witness is not None:
+        raise CheckFailed(witness.describe(names))
 
 
 def _open(path: str):
@@ -437,12 +434,9 @@ def _probe_candidate(rng: Rng, n: int):
     table = []
     for g in range(size):
         v = 0
-        m = ~g & (size - 1)
-        while m:
-            low = m & -m
+        for h in _bits(~g & (size - 1)):
             if rng.randbelow(2):
-                v |= low
-            m ^= low
+                v |= 1 << h
         table.append(v)
     for g in range(size):
         f = 0

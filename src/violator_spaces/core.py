@@ -12,7 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 
 class OracleContractError(Exception):
@@ -46,6 +46,29 @@ def _bits(m: int) -> Iterator[int]:
         low = m & -m
         yield low.bit_length() - 1
         m ^= low
+
+
+def _mask_of(members: Iterable[int]) -> int:
+    m = 0
+    for h in members:
+        m |= 1 << h
+    return m
+
+
+def _names(names: Optional[Sequence[str]], n: int) -> List[str]:
+    """h0..h{n-1} when names is None, else n distinct names, each nonempty
+    and comma-free, since labels and file keys join names with commas."""
+    if names is None:
+        return [f"h{i}" for i in range(n)]
+    names = list(names)
+    if len(names) != n:
+        raise ValueError(f"need exactly {n} names, got {len(names)}")
+    if len(set(names)) != n:
+        raise ValueError("names must be unique")
+    for name in names:
+        if not name or "," in name:
+            raise ValueError(f"bad name {name!r}: empty or contains a comma")
+    return names
 
 
 class ConstraintSet:
@@ -159,9 +182,7 @@ class ViolationOracle(ABC):
             raise ValueError("combinatorial-dimension hint must be >= 1")
         self.n = n
         self.delta = delta
-        self.names = list(names) if names is not None else [f"h{i}" for i in range(n)]
-        if len(self.names) != n:
-            raise ValueError("need exactly one name per constraint")
+        self.names = _names(names, n)
         self._calls = _Counter()
 
     @property

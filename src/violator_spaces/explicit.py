@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import ConstraintSet, ViolationOracle, _bits
+from .core import ConstraintSet, ViolationOracle, _bits, _mask_of, _names
 
 MAX_TABLE_N = 24
 EXHAUSTIVE_WARN_N = 16
@@ -61,28 +61,12 @@ class CyclicSpaceError(Exception):
 
 @dataclass(frozen=True)
 class AxiomWitness:
-    """Counterexample to one of the two violator-space axioms.
+    """Counterexample to an axiom of a violator table or a value table.
 
-    Consistency witnesses have F == G; locality witnesses carry the pair
-    F subset of G with G disjoint from V(F) but V(G) != V(F).
+    Consistency witnesses have F == G, monotonicity ones w(F) > w(G);
+    locality ones carry F subset of G with G disjoint from V(F) but
+    V(G) != V(F), and on a value table the least h raising w(G) but not w(F).
     """
-
-    axiom: str
-    F: ConstraintSet
-    G: ConstraintSet
-
-    def describe(self, names: Sequence[str]) -> str:
-        if self.axiom == "consistency":
-            return f"consistency fails: G={self.G.label(names)} meets V(G)"
-        return (
-            f"locality fails: F={self.F.label(names)} G={self.G.label(names)}"
-            f" with G disjoint from V(F) but V(G) != V(F)"
-        )
-
-
-@dataclass(frozen=True)
-class AbstractAxiomWitness:
-    """Counterexample to monotonicity or locality of a value table."""
 
     axiom: str
     F: ConstraintSet
@@ -90,31 +74,14 @@ class AbstractAxiomWitness:
     h: Optional[int] = None
 
     def describe(self, names: Sequence[str]) -> str:
+        F, G = self.F.label(names), self.G.label(names)
+        if self.axiom == "consistency":
+            return f"consistency fails: G={G} meets V(G)"
         if self.axiom == "monotonicity":
-            return (
-                f"monotonicity fails: w({self.F.label(names)}) >"
-                f" w({self.G.label(names)})"
-            )
-        return (
-            f"locality fails: F={self.F.label(names)} G={self.G.label(names)}"
-            f" h={names[self.h]}"
-        )
-
-
-def _check_names(names: Sequence[str], n: int) -> List[str]:
-    names = list(names)
-    if len(names) != n:
-        raise ValueError(f"need exactly {n} names, got {len(names)}")
-    if len(set(names)) != n:
-        raise ValueError("names must be unique")
-    for name in names:
-        if not name or "," in name:
-            raise ValueError(f"bad name {name!r}: empty or contains a comma")
-    return names
-
-
-def _default_names(n: int) -> List[str]:
-    return [f"h{i}" for i in range(n)]
+            return f"monotonicity fails: w({F}) > w({G})"
+        if self.h is not None:
+            return f"locality fails: F={F} G={G} h={names[self.h]}"
+        return f"locality fails: F={F} G={G} with G disjoint from V(F) but V(G) != V(F)"
 
 
 def check_table_size(kind: str, n: int) -> None:
@@ -163,7 +130,7 @@ class ExplicitViolatorSpace:
     ) -> None:
         self.n = n
         self._table = table
-        self.names = _check_names(names, n) if names is not None else _default_names(n)
+        self.names = _names(names, n)
         self._checked = checked
         # the last structure() result; the table never changes
         self._structure: Optional["BasisStructure"] = None
@@ -239,9 +206,7 @@ class ExplicitViolatorSpace:
         members = sorted(G)
         for size in range(len(members) + 1):
             for combo in combinations(members, size):
-                b = 0
-                for h in combo:
-                    b |= 1 << h
+                b = _mask_of(combo)
                 if table[b] == target:
                     return ConstraintSet(b, self.n)
         raise AssertionError("unreachable: G is a subset of itself")
@@ -464,14 +429,14 @@ class AbstractLpTable:
         self.order = list(order)
         if len(set(self.order)) != len(self.order):
             raise ValueError("order must not repeat tokens")
-        self._rank = {tok: i for i, tok in enumerate(self.order)}
+        rank = {tok: i for i, tok in enumerate(self.order)}
         for tok in values:
-            if tok not in self._rank:
+            if tok not in rank:
                 raise ValueError(f"value token {tok!r} missing from order")
         self.n = n
         self.values = list(values)
-        self._ranks = [self._rank[tok] for tok in self.values]
-        self.names = _check_names(names, n) if names is not None else _default_names(n)
+        self._ranks = [rank[tok] for tok in self.values]
+        self.names = _names(names, n)
         # the checked violator table w induces, kept by check_axioms
         self._space: Optional[ExplicitViolatorSpace] = None
 
@@ -479,7 +444,7 @@ class AbstractLpTable:
     def checked(self) -> bool:
         return self._space is not None
 
-    def check_axioms(self) -> Optional[AbstractAxiomWitness]:
+    def check_axioms(self) -> Optional[AxiomWitness]:
         """Verify monotonicity and locality exhaustively.
 
         Monotonicity is checked on covering pairs, which implies it for
@@ -500,7 +465,7 @@ class AbstractLpTable:
                 low = m & -m
                 f = g ^ low
                 if r[f] > rg:
-                    return AbstractAxiomWitness(
+                    return AxiomWitness(
                         "monotonicity", ConstraintSet(f, n), ConstraintSet(g, n)
                     )
                 if r[f] < rg:
@@ -510,7 +475,7 @@ class AbstractLpTable:
         witness = space.check_axioms()
         if witness is not None:
             raised = up[witness.G.mask] & ~up[witness.F.mask]
-            return AbstractAxiomWitness(
+            return AxiomWitness(
                 "locality", witness.F, witness.G, (raised & -raised).bit_length() - 1
             )
         self._space = space
@@ -555,8 +520,7 @@ class ConcreteLpProblem:
             if tup and not (0 <= tup[0] and tup[-1] < m):
                 raise ValueError(f"constraint {c} indexes outside the point list")
             self.constraints.append(tup)
-        n = len(self.constraints)
-        self.names = _check_names(names, n) if names is not None else _default_names(n)
+        self.names = _names(names, len(self.constraints))
 
     @property
     def n(self) -> int:
@@ -621,11 +585,8 @@ def tabulate_oracle(oracle: ViolationOracle) -> ExplicitViolatorSpace:
     for g in range(1 << n):
         G = ConstraintSet(g, n)
         v = 0
-        m = ~g & ((1 << n) - 1)
-        while m:
-            low = m & -m
-            if oracle.violates(G, low.bit_length() - 1):
-                v |= low
-            m ^= low
+        for h in _bits(~g & ((1 << n) - 1)):
+            if oracle.violates(G, h):
+                v |= 1 << h
         table.append(v)
     return ExplicitViolatorSpace._from_masks(n, table, names=oracle.names)

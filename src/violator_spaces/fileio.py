@@ -28,12 +28,11 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import ConstraintSet
+from .core import ConstraintSet, _names
 from .explicit import (
     AbstractLpTable,
     ConcreteLpProblem,
     ExplicitViolatorSpace,
-    _check_names,
     check_table_size,
 )
 from .grid_uso import GridPartition, GridUso
@@ -82,7 +81,8 @@ def _parse_member_list(members, name_index: Dict[str, int], what: str) -> int:
     mask = 0
     for name in members:
         if not isinstance(name, str) or name not in name_index:
-            raise ParseError(f"{what}: unknown constraint name {name!r}")
+            shown = repr(name) if isinstance(name, str) else json.dumps(name)
+            raise ParseError(f"{what}: unknown constraint name {shown}")
         bit = 1 << name_index[name]
         if mask & bit:
             raise ParseError(f"{what}: duplicate name {name!r}")
@@ -99,7 +99,7 @@ def _parse_key(key: str, name_index: Dict[str, int], what: str) -> int:
 def _checked_names(names: List[str]) -> List[str]:
     """Constraint names of any file kind: distinct, nonempty, comma-free."""
     try:
-        return _check_names(names, len(names))
+        return _names(names, len(names))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -239,36 +239,35 @@ def concrete_to_dict(problem: ConcreteLpProblem) -> dict:
 def uso_from_dict(doc: dict) -> Tuple[GridUso, List[str]]:
     blocks = doc.get("blocks")
     outmap_doc = doc.get("outmap")
-    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+    if not isinstance(blocks, list) or not all(
+        isinstance(b, list) and all(isinstance(x, str) for x in b) for b in blocks
+    ):
         raise ParseError('"blocks" must be a list of name lists')
-    names = _checked_names([str(x) for b in blocks for x in b])
+    names = _checked_names([x for b in blocks for x in b])
     index = {name: i for i, name in enumerate(names)}
-    sizes = [len(b) for b in blocks]
-    if not sizes or any(s == 0 for s in sizes):
-        raise ParseError("every block must be nonempty")
-    partition = GridPartition.uniform(sizes)
-    if not isinstance(outmap_doc, dict):
-        raise ParseError('"outmap" must be an object')
-    block_of = partition.block_of
-    outmap: Dict[Tuple[int, ...], int] = {}
-    for key, dirs in outmap_doc.items():
-        mask = _parse_key(key, index, f"vertex key {key!r}")
-        members = sorted(ConstraintSet(mask, partition.n))
-        if len(members) != partition.delta or len(
-            {block_of[h] for h in members}
-        ) != partition.delta:
-            raise ParseError(f"vertex key {key!r} must pick one name per block")
-        J = tuple(sorted(members, key=lambda h: block_of[h]))
-        if J in outmap:
-            raise ParseError(f"vertex key {key!r} repeats an earlier vertex")
-        if not isinstance(dirs, list):
-            raise ParseError(f"outmap of {key!r} must be a list of names")
-        outmap[J] = _parse_member_list(dirs, index, f"outmap of {key!r}")
+    # structural problems (an empty block, a missing vertex) are parse
+    # errors; edge-consistency failures propagate as validation witnesses
     try:
+        partition = GridPartition.uniform([len(b) for b in blocks])
+        if not isinstance(outmap_doc, dict):
+            raise ParseError('"outmap" must be an object')
+        block_of = partition.block_of
+        outmap: Dict[Tuple[int, ...], int] = {}
+        for key, dirs in outmap_doc.items():
+            mask = _parse_key(key, index, f"vertex key {key!r}")
+            members = sorted(ConstraintSet(mask, partition.n))
+            if len(members) != partition.delta or len(
+                {block_of[h] for h in members}
+            ) != partition.delta:
+                raise ParseError(f"vertex key {key!r} must pick one name per block")
+            J = tuple(sorted(members, key=lambda h: block_of[h]))
+            if J in outmap:
+                raise ParseError(f"vertex key {key!r} repeats an earlier vertex")
+            if not isinstance(dirs, list):
+                raise ParseError(f"outmap of {key!r} must be a list of names")
+            outmap[J] = _parse_member_list(dirs, index, f"outmap of {key!r}")
         return GridUso(partition, outmap), names
     except ValueError as exc:
-        # structural problems are parse errors; edge-consistency failures
-        # propagate as validation witnesses
         raise ParseError(str(exc)) from exc
 
 

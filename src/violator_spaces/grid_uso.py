@@ -16,7 +16,7 @@ from itertools import product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algorithms import Rng
-from .core import ConstraintSet, ViolationOracle, _Counter
+from .core import ConstraintSet, ViolationOracle, _Counter, _mask_of
 from .explicit import EXHAUSTIVE_WARN_N
 
 MAX_RANDOM_N = 12
@@ -80,13 +80,6 @@ class GridPartition:
         for b in self.blocks:
             count *= len(b)
         return count
-
-
-def _mask_of(members: Iterable[int]) -> int:
-    m = 0
-    for h in members:
-        m |= 1 << h
-    return m
 
 
 def _missing_blocks(gmask: int, block_masks: Sequence[int]) -> int:
@@ -171,6 +164,9 @@ class UsoWitness:
     G: ConstraintSet
     sinks: Tuple[Vertex, ...]
 
+    def describe(self, names: Sequence[str]) -> str:
+        return f"subgrid {self.G.label(names)} has {len(self.sinks)} sinks"
+
 
 def _valid_subsets(partition: GridPartition):
     """All subsets meeting every block, as (mask, members-per-block)."""
@@ -180,10 +176,7 @@ def _valid_subsets(partition: GridPartition):
         k = len(b)
         for m in range(1, 1 << k):
             chosen = tuple(b[i] for i in range(k) if (m >> i) & 1)
-            mask = 0
-            for h in chosen:
-                mask |= 1 << h
-            subs.append((mask, chosen))
+            subs.append((_mask_of(chosen), chosen))
         per_block.append(subs)
     for combo in product(*per_block):
         mask = 0

@@ -17,8 +17,9 @@ The table files are built here from their own definitions, not by the
 library's writers: a concrete problem's violator table, its value
 table, coordinate-order grid USOs, broken documents for every
 parse error of an explicit or abstract file, value tables that fail
-monotonicity or locality, and USO and concrete documents with a
-repeated vertex key or boolean point indices.
+monotonicity or locality, USO and concrete documents with a repeated
+vertex key or boolean point indices, a USO document whose block names
+are not strings and a concrete document too large for a full table.
 """
 
 from __future__ import annotations
@@ -296,6 +297,17 @@ ERROR_INPUTS = {
     # JSON whose top level is an array, on one line and on several
     "bad_array_inline.json": lambda: "[1, 2]\n",
     "bad_array_lines.json": lambda: json.dumps([{"names": ["a"]}, 2], indent=1) + "\n",
+    # a 2x2 coordinate-order USO whose block names are not strings,
+    # keyed by the Python spellings of the names
+    "bad_uso_int_names.json": lambda: json.dumps({
+        "blocks": [[1, 2], [True, None]],
+        "outmap": {"1,True": [], "1,None": ["True"], "2,True": ["1"],
+                   "2,None": ["1", "True"]}}),
+    "bad_bool_value.json": lambda: json.dumps(
+        {"names": ["a"], "violators": {"": [True], "a": []}}),
+    # one constraint more than a full table holds
+    "bad_concrete_25.json": lambda: json.dumps(
+        {"points": ["x0", "x1"], "constraints": [[h % 2] for h in range(25)]}),
 }
 
 
@@ -427,10 +439,12 @@ def no_basis_commands():
 
 def error_commands():
     """The argvs of inputs and options each command rejects: value
-    tables failing an axiom, a table too large to build, an unknown
+    tables failing an axiom, tables too large to build, an unknown
     --w name, --r equal to n, a table file given to `uso tabulate`, a
     USO file keying one vertex twice, a concrete file whose point
-    indices are booleans and JSON files whose top level is an array."""
+    indices are booleans, JSON files whose top level is an array, a USO
+    file whose block names are not strings and an explicit file with a
+    boolean member."""
     for name in ("corrupt_abstract_monotonicity.json", "corrupt_abstract_locality.json"):
         path = f"{INPUTS}/{name}"
         yield ["check", path]
@@ -445,6 +459,9 @@ def error_commands():
     yield ["structure", f"{INPUTS}/bad_concrete_bool_index.json"]
     yield ["check", f"{INPUTS}/bad_array_inline.json"]
     yield ["check", f"{INPUTS}/bad_array_lines.json"]
+    yield ["check", f"{INPUTS}/bad_uso_int_names.json"]
+    yield ["check", f"{INPUTS}/bad_bool_value.json"]
+    yield ["check", f"{INPUTS}/bad_concrete_25.json"]
 
 
 SLICES = (geometric_commands, table_commands, uso_commands, table_solve_commands,

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -40,6 +43,23 @@ def test_check_uso_ok(capsys):
 def test_check_points_csv_tabulates(capsys):
     code, out, _ = run_cli(capsys, "check", FIXTURES / "square.csv")
     assert code == 0 and "tabulated" in out
+
+
+@pytest.mark.parametrize("bad, code", [(False, 0), (True, 2)])
+def test_cli_module_as_a_process_matches_main(capsys, tmp_path, bad, code):
+    # runs console_main's sys.exit(main()) through the __main__ guard
+    path = FIXTURES / "square.csv"
+    if bad:
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "violator_spaces.cli", "check", str(path)],
+        cwd=FIXTURES.parent, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, timeout=60,
+    )
+    main_code, out, err = run_cli(capsys, "check", path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (main_code, out.encode(), err.encode())
+    assert proc.returncode == code
 
 
 def test_check_witness_exit_code(capsys, tmp_path):
@@ -386,8 +406,12 @@ BAD_NAMES = {
         "bad name 'a,b': empty or contains a comma",
     ),
     "uso_repeated.json": (
-        json.dumps({"blocks": [[1], ["1"]], "outmap": {}}),
+        json.dumps({"blocks": [["1"], ["1"]], "outmap": {}}),
         "names must be unique",
+    ),
+    "uso_int_names.json": (
+        json.dumps({"blocks": [[1, 2], [True, None]], "outmap": {}}),
+        '"blocks" must be a list of name lists',
     ),
     "points_repeated.csv": ("name,x,y\na,0,0\na,1,1\n", "names must be unique"),
     "points_unnamed.csv": ("name,x,y\n,0,0\nb,1,1\n",

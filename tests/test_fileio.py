@@ -57,6 +57,13 @@ def test_explicit_unknown_name_is_parse_error():
         explicit_from_dict(doc)
 
 
+@pytest.mark.parametrize("member", ["true", "null"])
+def test_non_string_member_is_quoted_as_the_file_spells_it(member):
+    doc = json.loads(f'{{"names": ["a"], "violators": {{"": [{member}], "a": []}}}}')
+    with pytest.raises(ParseError, match=f"^violators of '': unknown constraint name {member}$"):
+        explicit_from_dict(doc)
+
+
 def test_abstract_round_trip():
     space = square_space()
     table = space.to_concrete().to_abstract()
@@ -232,7 +239,9 @@ def _old_member_list(members, index, what):
     mask = 0
     for name in members:
         if not isinstance(name, str) or name not in index:
-            raise ParseError(f"{what}: unknown constraint name {name!r}")
+            # a non-string member is quoted as the file spells it
+            shown = repr(name) if isinstance(name, str) else json.dumps(name)
+            raise ParseError(f"{what}: unknown constraint name {shown}")
         bit = 1 << index[name]
         if mask & bit:
             raise ParseError(f"{what}: duplicate name {name!r}")

@@ -29,10 +29,12 @@ small for any basis, which exit 3.
 
 Last come the commands that end in an error: `check`, `structure` and
 `solve` on value tables failing monotonicity or locality (exit 1), a
-17-constraint `structure` (exit 4), an unknown `--w` name, `--r` equal
-to n, `uso tabulate` on a table file, a USO file keying one vertex
-twice, a concrete file with boolean point indices and JSON files whose
-top level is an array (exit 2).  `golden/regenerate.py` rewrites it.
+17-constraint `structure` and a 25-constraint `check` (exit 4), an
+unknown `--w` name, `--r` equal to n, `uso tabulate` on a table file, a
+USO file keying one vertex twice, a concrete file with boolean point
+indices, JSON files whose top level is an array, a USO file whose block
+names are not strings and an explicit file with a boolean member
+(exit 2).  `golden/regenerate.py` rewrites it.
 """
 
 import json
