@@ -5,17 +5,21 @@ Every randomized command prints its seed, and identical inputs, flags,
 and seed produce byte-identical output.  Exit codes: 0 success, 1 axiom
 or validation witness, 2 parse error, 3 solver failure, 4 size guard.
 
-Every command opens its input with `_open`, which parses and validates
-the file once, and gets its table from `_table`; only `main` turns an
-error into its `error:` line and exit code.  `check` prints a witness
-on stdout, as the witness is its result; every other command reports
-an invalid input on stderr as "error: input failed validation:
-<witness>".  A halfplane subset whose region is empty is such a witness.
+Every command parses its input once with `load_path` and opens it with
+`_open`, which validates it and comes back with a live input (a USO,
+point or halfplane file) as its violation oracle; a table comes from
+`_table`, and `solve`, `structure` and `sampling` write their result
+through `_emit`, as JSON or text.  Only `main` turns an error into its
+`error:` line and exit code.  `check` prints a witness on stdout, as
+the witness is its result; every other command reports an invalid
+input on stderr as "error: input failed validation: <witness>".  A
+halfplane subset whose region is empty is such a witness.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -82,6 +86,16 @@ def _emit_json(obj, out: Optional[str]) -> None:
     _write(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", out)
 
 
+def _emit(args, payload: dict, lines: List[str]) -> int:
+    """Write a command's result: the payload as JSON under --format json,
+    otherwise the text lines."""
+    if args.format == "json":
+        _emit_json(payload, args.out)
+    else:
+        _write("\n".join(lines) + "\n", args.out)
+    return EXIT_OK
+
+
 class CheckFailed(Exception):
     """An input failed its axiom or USO validation; carries the witness."""
 
@@ -104,41 +118,42 @@ def _validate(kind: str, obj) -> None:
         raise CheckFailed(witness.describe(names))
 
 
-def _open(path: str):
-    """Parse an instance file once and validate it: every command's input."""
-    kind, obj = load_path(path)
+# the oracle each kind of live input opens as
+LIVE_ORACLES = {"uso": uso_oracle, "points": MiniballOracle, "halfplanes": Lp2dOracle}
+
+
+def _open(kind: str, obj):
+    """Validate a file `load_path` returned, then open a live input as its
+    oracle; a table file stays as loaded.  It takes the loaded file, not
+    its path, so that `uso tabulate` can check the kind first."""
     _validate(kind, obj)
+    if kind in LIVE_ORACLES:
+        instance, names = obj
+        obj = LIVE_ORACLES[kind](instance, names=names)
     return kind, obj
 
 
 def _table(kind: str, obj) -> ExplicitViolatorSpace:
-    """The checked violator table of an opened file; a live instance is
-    tabulated and checked here, and a failure raises CheckFailed."""
+    """The checked violator table of an opened file; a live input's oracle
+    is tabulated and checked here, and a failure raises CheckFailed."""
     if kind == "explicit":
         return obj
     if kind == "abstract":
         return obj.violator_map()
     if kind == "concrete":
         return obj.to_abstract().violator_map()
-    space = tabulate_oracle(_oracle(kind, obj, None))
+    space = tabulate_oracle(obj)
     _validate("explicit", space)
     return space
 
 
 def _oracle(kind: str, obj, delta: Optional[int]) -> ViolationOracle:
     """The violation oracle of an opened file, with --delta applied."""
-    if kind in ("explicit", "abstract", "concrete"):
+    if kind not in LIVE_ORACLES:
         return _table(kind, obj).oracle(delta=delta)
-    instance, names = obj
-    if kind == "uso":
-        oracle = uso_oracle(instance, names=names)
-    elif kind == "points":
-        oracle = MiniballOracle(instance, names=names)
-    else:
-        oracle = Lp2dOracle(instance, names=names)
     if delta is not None:
-        oracle.delta = delta
-    return oracle
+        obj.delta = delta
+    return obj
 
 
 # -- check -------------------------------------------------------------
@@ -148,10 +163,9 @@ def cmd_check(args) -> int:
     """Validate a file.  A witness is this command's result, so unlike
     every other command it goes to stdout."""
     try:
-        kind, obj = _open(args.path)
-        # the oracle is built first, so that its own errors come first
-        if kind in ("points", "halfplanes") and _oracle(kind, obj, None).n > EXHAUSTIVE_WARN_N:
-            print(f"ok: parsed {kind} instance with n={len(obj[1])} (too large to tabulate)")
+        kind, obj = _open(*load_path(args.path))
+        if kind in ("points", "halfplanes") and obj.n > EXHAUSTIVE_WARN_N:
+            print(f"ok: parsed {kind} instance with n={obj.n} (too large to tabulate)")
             return EXIT_OK
         # a USO passed its own check when it was opened
         if kind != "uso":
@@ -173,8 +187,7 @@ def cmd_check(args) -> int:
             f" {obj.n} constraints"
         )
     elif kind == "uso":
-        u, _ = obj
-        print(f"ok: unique-sink orientation over n={u.n}, {u.delta} blocks")
+        print(f"ok: unique-sink orientation over n={obj.n}, {obj.delta} blocks")
     else:
         print(f"ok: tabulated {kind} instance over n={space.n} satisfies both axioms")
     return EXIT_OK
@@ -203,7 +216,7 @@ def _parse_algos(text: str) -> List[str]:
 
 
 def cmd_solve(args) -> int:
-    kind, obj = _open(args.path)
+    kind, obj = _open(*load_path(args.path))
     oracle = _oracle(kind, obj, args.delta)
     basis, stats = _run_algorithm(oracle, args.algo, Rng(args.seed))
     names = oracle.names
@@ -219,9 +232,6 @@ def cmd_solve(args) -> int:
     }
     if hasattr(oracle, "edge_evals"):
         payload["edge_evals"] = oracle.edge_evals
-    if args.format == "json":
-        _emit_json(payload, args.out)
-        return EXIT_OK
     lines = [
         f"instance: {args.path} ({kind}, n={oracle.n}, delta={oracle.delta})",
         f"algorithm: {args.algo}",
@@ -233,21 +243,19 @@ def cmd_solve(args) -> int:
             lines.append(f"{key}: {value}")
     if "edge_evals" in payload:
         lines.append(f"edge_evals: {payload['edge_evals']}")
-    _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return _emit(args, payload, lines)
 
 
 # -- structure ---------------------------------------------------------
 
 
 def cmd_structure(args) -> int:
-    kind, obj = _open(args.path)
-    n = obj.n if kind in ("explicit", "abstract", "concrete") else _oracle(kind, obj, None).n
+    kind, obj = _open(*load_path(args.path))
     # an explicit file is a table already; only derived tables are
     # guarded, before they are built
-    if kind != "explicit" and n > EXHAUSTIVE_WARN_N:
+    if kind != "explicit" and obj.n > EXHAUSTIVE_WARN_N:
         raise ValueError(
-            f"structure needs a table; n={n} exceeds"
+            f"structure needs a table; n={obj.n} exceeds"
             f" the n <= {EXHAUSTIVE_WARN_N} tabulation guard"
         )
     space = _table(kind, obj)
@@ -272,17 +280,13 @@ def cmd_structure(args) -> int:
     }
     if st.acyclic:
         payload["linear_extension"] = [labels[i] for i in st.linear_extension]
-        concrete = st.to_concrete()
+        concrete = space.to_concrete()
         payload["s_table"] = {
             name: [concrete.points[p] for p in s]
             for name, s in zip(concrete.names, concrete.constraints)
         }
     else:
         payload["cycle"] = [labels[i] for i in st.cycle]
-
-    if args.format == "json":
-        _emit_json(payload, args.out)
-        return EXIT_OK
     lines = [
         f"instance: {args.path} (n={space.n})",
         f"combinatorial dimension: {payload['combinatorial_dimension']}",
@@ -298,43 +302,41 @@ def cmd_structure(args) -> int:
     else:
         cyc = payload["cycle"] + [payload["cycle"][0]]
         lines.append("cycle: " + " <=0 ".join(cyc))
-    _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return _emit(args, payload, lines)
 
 
 # -- uso ---------------------------------------------------------------
 
 
-def cmd_uso(args) -> int:
-    if args.action == "generate":
-        if args.kind == "cyclic-cube":
-            u = cyclic_cube_uso()
+def cmd_uso_generate(args) -> int:
+    if args.kind == "cyclic-cube":
+        u = cyclic_cube_uso()
+    else:
+        partition = GridPartition.uniform(args.blocks)
+        rng = Rng(args.seed)
+        if args.kind == "coordinate":
+            rankings = [rng.subset(list(b), len(b)) for b in partition.blocks]
+            u = coordinate_order_uso(partition, rankings)
         else:
-            partition = GridPartition.uniform(args.blocks)
-            rng = Rng(args.seed)
-            if args.kind == "coordinate":
-                rankings = [
-                    rng.subset(list(b), len(b)) for b in partition.blocks
-                ]
-                u = coordinate_order_uso(partition, rankings)
-            else:
-                try:
-                    u = random_uso(partition, rng)
-                except GenerationExhausted as exc:
-                    sys.stderr.write(
-                        f"warning: {exc}; writing a combed random USO instead\n"
-                    )
-                    u = combed_random_uso(partition, rng)
-        _emit_json(uso_to_dict(u), args.out)
-        return EXIT_OK
+            try:
+                u = random_uso(partition, rng)
+            except GenerationExhausted as exc:
+                sys.stderr.write(
+                    f"warning: {exc}; writing a combed random USO instead\n"
+                )
+                u = combed_random_uso(partition, rng)
+    _emit_json(uso_to_dict(u), args.out)
+    return EXIT_OK
 
-    # tabulate: reject other kinds before validating anything
+
+def cmd_uso_tabulate(args) -> int:
+    # reject other kinds before validating anything
     kind, obj = load_path(args.path)
     if kind != "uso":
         raise ParseError(f"{args.path} is not a USO file")
-    _validate(kind, obj)
+    _, oracle = _open(kind, obj)
     # the tabulated table of a valid USO is valid: it is not re-checked
-    _emit_json(explicit_to_dict(tabulate_oracle(_oracle(kind, obj, None))), args.out)
+    _emit_json(explicit_to_dict(tabulate_oracle(oracle)), args.out)
     return EXIT_OK
 
 
@@ -389,7 +391,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sampling(args) -> int:
-    kind, obj = _open(args.path)
+    kind, obj = _open(*load_path(args.path))
     oracle = _oracle(kind, obj, args.delta)
     W = ConstraintSet.empty(oracle.n)
     if args.w:
@@ -404,9 +406,6 @@ def cmd_sampling(args) -> int:
     report = sampling_check(oracle, W, args.r, args.trials, Rng(args.seed))
     payload = {"instance": args.path, "kind": kind, "n": oracle.n,
                "delta": oracle.delta, **asdict(report)}
-    if args.format == "json":
-        _emit_json(payload, args.out)
-        return EXIT_OK
     lines = [
         f"instance: {args.path} ({kind}, n={oracle.n}, delta={oracle.delta})",
         f"r: {report.r}",
@@ -417,8 +416,7 @@ def cmd_sampling(args) -> int:
         f"stddev: {report.stddev!r}",
         f"passed: {'yes' if report.passed else 'no'}",
     ]
-    _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return _emit(args, payload, lines)
 
 
 # -- probe -------------------------------------------------------------
@@ -492,7 +490,10 @@ def cmd_probe(args) -> int:
 # -- wiring ------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `vspace` parser, built once per process: argparse builds a
+    formatter and translates help text for every argument it adds."""
     parser = argparse.ArgumentParser(
         prog="vspace",
         description=(
@@ -532,11 +533,11 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["coordinate", "random", "cyclic-cube"])
     pg.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pg.add_argument("--out", default=None)
-    pg.set_defaults(func=cmd_uso)
+    pg.set_defaults(func=cmd_uso_generate)
     pt = usub.add_parser("tabulate", help="emit the induced violator table")
     pt.add_argument("path")
     pt.add_argument("--out", default=None)
-    pt.set_defaults(func=cmd_uso)
+    pt.set_defaults(func=cmd_uso_tabulate)
 
     p = sub.add_parser("bench", help="benchmark algorithms on grid USOs")
     p.add_argument("--delta", type=_positive_int, default=2)

@@ -274,11 +274,27 @@ class ExplicitViolatorSpace:
     # -- conversions --------------------------------------------------
 
     def to_concrete(self) -> "ConcreteLpProblem":
-        """Concrete representation over basis-equivalence classes; see
-        BasisStructure.to_concrete.  It reuses the last structure() built
-        for this space, since the table never changes, and builds one
-        only if there is none."""
-        return (self._structure or self.structure()).to_concrete()
+        """Concrete representation over basis-equivalence classes.
+
+        Point p carries the classes ordered by the linear extension; the
+        constraint for h collects the classes whose bases h does not
+        violate.  Only defined for acyclic spaces.  It reuses the last
+        structure() built for this space, since the table never changes,
+        and builds one only if there is none.
+        """
+        st = self._structure or self.structure()
+        if not st.acyclic:
+            raise CyclicSpaceError("cyclic violator space has no concrete form")
+        ordered = [st.classes[i] for i in st.linear_extension]
+        constraints = [
+            tuple(pos for pos, cls in enumerate(ordered) if not (cls.violators.mask >> h) & 1)
+            for h in range(self.n)
+        ]
+        return ConcreteLpProblem(
+            points=[cls.display_label(self.names) for cls in ordered],
+            constraints=constraints,
+            names=list(self.names),
+        )
 
     def oracle(self, delta: Optional[int] = None) -> "TableOracle":
         """Violation oracle backed by this table.
@@ -342,31 +358,6 @@ class BasisStructure:
     def class_labels(self) -> List[str]:
         return [cls.display_label(self.space.names) for cls in self.classes]
 
-    def to_concrete(self) -> "ConcreteLpProblem":
-        """Concrete representation over basis-equivalence classes.
-
-        Point p carries the classes ordered by the linear extension; the
-        constraint for h collects the classes whose bases h does not
-        violate.  Only defined for acyclic spaces.
-        """
-        if not self.acyclic:
-            raise CyclicSpaceError("cyclic violator space has no concrete form")
-        assert self.linear_extension is not None
-        names = self.space.names
-        ordered = [self.classes[i] for i in self.linear_extension]
-        points = [cls.display_label(names) for cls in ordered]
-        constraints = []
-        for h in range(self.space.n):
-            s_h = tuple(
-                pos
-                for pos, cls in enumerate(ordered)
-                if not (cls.violators.mask >> h) & 1
-            )
-            constraints.append(s_h)
-        return ConcreteLpProblem(
-            points=points, constraints=constraints, names=list(names)
-        )
-
 
 def _pairs(rows: List[int]) -> frozenset:
     return frozenset((i, j) for i, row in enumerate(rows) for j in _bits(row))
@@ -427,15 +418,14 @@ class AbstractLpTable:
         if len(values) != size:
             raise ValueError(f"need {size} values, got {len(values)}")
         self.order = list(order)
-        if len(set(self.order)) != len(self.order):
+        tokens = set(self.order)
+        if len(tokens) != len(self.order):
             raise ValueError("order must not repeat tokens")
-        rank = {tok: i for i, tok in enumerate(self.order)}
-        for tok in values:
-            if tok not in rank:
-                raise ValueError(f"value token {tok!r} missing from order")
+        if not tokens.issuperset(values):
+            tok = next(tok for tok in values if tok not in tokens)
+            raise ValueError(f"value token {tok!r} missing from order")
         self.n = n
         self.values = list(values)
-        self._ranks = [rank[tok] for tok in self.values]
         self.names = _names(names, n)
         # the checked violator table w induces, kept by check_axioms
         self._space: Optional[ExplicitViolatorSpace] = None
@@ -454,7 +444,8 @@ class AbstractLpTable:
         w's (subsets in mask order, F in decreasing-mask order, h
         ascending; module docstring), and on success it is kept.
         """
-        r = self._ranks
+        rank = {tok: i for i, tok in enumerate(self.order)}
+        r = [rank[tok] for tok in self.values]
         n = self.n
         # up[f]: the h outside f with w(f + h) > w(f), the violator table
         up = [0] * (1 << n)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from itertools import product
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .algorithms import Rng
-from .core import ConstraintSet, ViolationOracle, _Counter, _mask_of
+from .core import ConstraintSet, ViolationOracle, _bits, _Counter, _mask_of
 from .explicit import EXHAUSTIVE_WARN_N
 
 MAX_RANDOM_N = 12
@@ -110,7 +111,9 @@ def _step(J: Vertex, j: int, block_of: Sequence[int]) -> Vertex:
 
 class GridUso:
     """Dense outmap over all vertices; edge consistency is checked at
-    construction and failures raise with the offending edge."""
+    construction and failures raise with the offending edge.  `validated`
+    starts False; validate_uso sets it on success, and coordinate_order_uso
+    and combed_random_uso on the USOs they build."""
 
     def __init__(self, partition: GridPartition, outmap: Dict[Vertex, int]):
         self.partition = partition
@@ -139,7 +142,7 @@ class GridUso:
                         f"edge {{{J}, {Jp}}} is oriented "
                         + ("both ways" if out_here else "neither way")
                     )
-        self._validated = False
+        self.validated = False
 
     @property
     def n(self) -> int:
@@ -148,10 +151,6 @@ class GridUso:
     @property
     def delta(self) -> int:
         return self.partition.delta
-
-    @property
-    def validated(self) -> bool:
-        return self._validated
 
     def s(self, J: Vertex) -> ConstraintSet:
         return ConstraintSet(self.outmap[J], self.n)
@@ -197,7 +196,7 @@ def validate_uso(u: GridUso) -> Optional[UsoWitness]:
         sinks = [J for J in product(*members) if u.outmap[J] & mask == 0]
         if len(sinks) != 1:
             return UsoWitness(ConstraintSet(mask, u.n), tuple(sinks))
-    u._validated = True
+    u.validated = True
     return None
 
 
@@ -216,7 +215,7 @@ def coordinate_order_uso(
         for J in partition.vertices()
     }
     u = GridUso(partition, outmap)
-    u._validated = True
+    u.validated = True
     return u
 
 
@@ -312,7 +311,7 @@ def combed_random_uso(partition: GridPartition, rng: Rng) -> GridUso:
         return outmap
 
     u = GridUso(partition, comb(partition.blocks))
-    u._validated = True
+    u.validated = True
     return u
 
 
@@ -434,30 +433,13 @@ def sink_by_scan(u: GridUso) -> Vertex:
 
 
 def has_directed_cycle(u: GridUso) -> bool:
-    """DFS cycle detection on the vertex digraph (arc per outmap entry)."""
-    WHITE, GRAY, BLACK = 0, 1, 2
+    """Whether the vertex digraph, with an arc from J to _step(J, j) for
+    each j in J's outmap, has a directed cycle, by graphlib's topological
+    sort: a reference that shares no code with the solvers."""
     block_of = u.partition.block_of
-    color: Dict[Vertex, int] = {J: WHITE for J in u.partition.vertices()}
-    for start in u.partition.vertices():
-        if color[start] != WHITE:
-            continue
-        stack: List[Tuple[Vertex, Iterable]] = [
-            (start, iter(sorted(u.s(start))))
-        ]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for j in it:
-                nb = _step(node, j, block_of)
-                if color[nb] == GRAY:
-                    return True
-                if color[nb] == WHITE:
-                    color[nb] = GRAY
-                    stack.append((nb, iter(sorted(u.s(nb)))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+    arcs = {J: [_step(J, j, block_of) for j in _bits(s)] for J, s in u.outmap.items()}
+    try:
+        TopologicalSorter(arcs).prepare()
+    except CycleError:
+        return True
     return False

@@ -19,7 +19,9 @@ table, coordinate-order grid USOs, broken documents for every
 parse error of an explicit or abstract file, value tables that fail
 monotonicity or locality, USO and concrete documents with a repeated
 vertex key or boolean point indices, a USO document whose block names
-are not strings and a concrete document too large for a full table.
+are not strings, a concrete document too large for a full table, an
+explicit document whose violators are a list and a USO document with
+a string outmap entry.
 """
 
 from __future__ import annotations
@@ -308,6 +310,12 @@ ERROR_INPUTS = {
     # one constraint more than a full table holds
     "bad_concrete_25.json": lambda: json.dumps(
         {"points": ["x0", "x1"], "constraints": [[h % 2] for h in range(25)]}),
+    # the violators as a list of [key, members] pairs, not an object
+    "bad_violators_list.json": lambda: json.dumps(
+        {"names": ["a"], "violators": [["", ["a"]], ["a", []]]}),
+    # a 1x2 grid whose source's outmap entry is a name, not a list
+    "bad_uso_string_outmap.json": lambda: json.dumps(
+        {"blocks": [["a"], ["b", "c"]], "outmap": {"a,b": "c", "a,c": []}}),
 }
 
 
@@ -443,8 +451,9 @@ def error_commands():
     --w name, --r equal to n, a table file given to `uso tabulate`, a
     USO file keying one vertex twice, a concrete file whose point
     indices are booleans, JSON files whose top level is an array, a USO
-    file whose block names are not strings and an explicit file with a
-    boolean member."""
+    file whose block names are not strings, an explicit file with a
+    boolean member, an explicit file whose violators are a list and a
+    USO file with a string outmap entry."""
     for name in ("corrupt_abstract_monotonicity.json", "corrupt_abstract_locality.json"):
         path = f"{INPUTS}/{name}"
         yield ["check", path]
@@ -462,6 +471,8 @@ def error_commands():
     yield ["check", f"{INPUTS}/bad_uso_int_names.json"]
     yield ["check", f"{INPUTS}/bad_bool_value.json"]
     yield ["check", f"{INPUTS}/bad_concrete_25.json"]
+    yield ["check", f"{INPUTS}/bad_violators_list.json"]
+    yield ["check", f"{INPUTS}/bad_uso_string_outmap.json"]
 
 
 SLICES = (geometric_commands, table_commands, uso_commands, table_solve_commands,

@@ -18,6 +18,8 @@ from violator_spaces import (
     solve,
     trivial_basis,
 )
+from violator_spaces.algorithms import _iterations
+from violator_spaces.core import SolveStats
 
 from conftest import cyclic3_space, random_concrete_space, square_space
 
@@ -351,6 +353,28 @@ def test_sampling_rejects_bad_r():
     oracle = square_space().oracle()
     with pytest.raises(ValueError):
         sampling_check(oracle, ConstraintSet.empty(4), 4, 10, Rng(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Rng(0).randbelow(0), "bound must be positive"),
+    (lambda: Rng(0).subset([1, 2], 3), "cannot draw 3 of 2 elements"),
+    (lambda: sampling_check(square_space().oracle(), ConstraintSet.empty(4), 2, 0, Rng(0)),
+     "need at least one trial"),
+])
+def test_bad_draw_and_trial_counts_raise(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def test_iteration_guard_stops_a_stage_past_its_limit():
+    # 100 * delta * (1 + log2 g) = 200 iterations at delta = 1, g = 2
+    stats = SolveStats(rng_seed=0)
+    with pytest.raises(IterationGuardExceeded) as raised:
+        for _ in _iterations("basis2", 1, 2, stats):
+            pass
+    assert str(raised.value) == "basis2 exceeded 200 iterations on |G|=2"
+    assert stats.loop_iterations == 201
 
 
 def test_solve_on_halfplane_oracle():

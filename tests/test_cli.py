@@ -40,6 +40,17 @@ def test_check_uso_ok(capsys):
     assert code == 0
 
 
+def test_check_warns_before_an_exhaustive_axiom_check(capsys, monkeypatch):
+    from violator_spaces import cli
+
+    # a table over more than 16 members would hold 2^17 entries
+    monkeypatch.setattr(cli, "EXHAUSTIVE_WARN_N", 3)
+    code, out, err = run_cli(capsys, "check", FIXTURES / "square.json")
+    assert code == 0
+    assert out == "ok: violator space over n=4 satisfies both axioms\n"
+    assert err == "warning: exhaustive axiom check over n=4 subsets is slow\n"
+
+
 def test_check_points_csv_tabulates(capsys):
     code, out, _ = run_cli(capsys, "check", FIXTURES / "square.csv")
     assert code == 0 and "tabulated" in out

@@ -33,8 +33,9 @@ Last come the commands that end in an error: `check`, `structure` and
 unknown `--w` name, `--r` equal to n, `uso tabulate` on a table file, a
 USO file keying one vertex twice, a concrete file with boolean point
 indices, JSON files whose top level is an array, a USO file whose block
-names are not strings and an explicit file with a boolean member
-(exit 2).  `golden/regenerate.py` rewrites it.
+names are not strings, an explicit file with a boolean member, an
+explicit file whose violators are a list and a USO file with a string
+outmap entry (exit 2).  `golden/regenerate.py` rewrites it.
 """
 
 import json
