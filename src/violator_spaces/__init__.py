@@ -31,7 +31,6 @@ from .instances import (
     Lp2dOracle,
     MiniballOracle,
     PointSet,
-    UnboundedProblem,
     smallest_enclosing_ball,
     tabulate,
 )

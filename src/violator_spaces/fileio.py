@@ -35,7 +35,7 @@ from .explicit import (
     ExplicitViolatorSpace,
     check_table_size,
 )
-from .grid_uso import GridPartition, GridUso
+from .grid_uso import GridPartition, GridUso, _check_dense
 from .instances import HalfplaneLp, PointSet
 
 
@@ -249,23 +249,28 @@ def uso_from_dict(doc: dict) -> Tuple[GridUso, List[str]]:
     # errors; edge-consistency failures propagate as validation witnesses
     try:
         partition = GridPartition.uniform([len(b) for b in blocks])
-        if not isinstance(outmap_doc, dict):
-            raise ParseError('"outmap" must be an object')
-        block_of = partition.block_of
-        outmap: Dict[Tuple[int, ...], int] = {}
-        for key, dirs in outmap_doc.items():
-            mask = _parse_key(key, index, f"vertex key {key!r}")
-            members = sorted(ConstraintSet(mask, partition.n))
-            if len(members) != partition.delta or len(
-                {block_of[h] for h in members}
-            ) != partition.delta:
-                raise ParseError(f"vertex key {key!r} must pick one name per block")
-            J = tuple(sorted(members, key=lambda h: block_of[h]))
-            if J in outmap:
-                raise ParseError(f"vertex key {key!r} repeats an earlier vertex")
-            if not isinstance(dirs, list):
-                raise ParseError(f"outmap of {key!r} must be a list of names")
-            outmap[J] = _parse_member_list(dirs, index, f"outmap of {key!r}")
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    # the size guard, as for `uso generate`, before any vertex key is read
+    _check_dense(partition)
+    if not isinstance(outmap_doc, dict):
+        raise ParseError('"outmap" must be an object')
+    block_of = partition.block_of
+    outmap: Dict[Tuple[int, ...], int] = {}
+    for key, dirs in outmap_doc.items():
+        mask = _parse_key(key, index, f"vertex key {key!r}")
+        members = sorted(ConstraintSet(mask, partition.n))
+        if len(members) != partition.delta or len(
+            {block_of[h] for h in members}
+        ) != partition.delta:
+            raise ParseError(f"vertex key {key!r} must pick one name per block")
+        J = tuple(sorted(members, key=lambda h: block_of[h]))
+        if J in outmap:
+            raise ParseError(f"vertex key {key!r} repeats an earlier vertex")
+        if not isinstance(dirs, list):
+            raise ParseError(f"outmap of {key!r} must be a list of names")
+        outmap[J] = _parse_member_list(dirs, index, f"outmap of {key!r}")
+    try:
         return GridUso(partition, outmap), names
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

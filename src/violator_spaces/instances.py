@@ -4,11 +4,11 @@ The ball of up to three points has a closed form: the point, the
 diameter ball of a pair, or the first pair ball that holds the third
 point and otherwise the triangle's circumball.  Larger sets take Welzl's
 algorithm with move-to-front.  The LP optimum comes from Seidel's
-randomized incremental algorithm in expected O(m) for m rows, after an
-O(m) test of the two normals nearest the descent direction decides
-whether the objective is bounded.  Both take their input in a fixed
-seeded order, so every run does the same work, and both answers are
-unique, so the order never shows in them.
+randomized incremental algorithm in expected O(m) for m rows, started at
+the corner of the positive orthant, which bounds the objective of every
+query.  Both take their input in a fixed seeded order, so every run does
+the same work, and both answers are unique, so the order never shows in
+them.
 
 Both run on exact integer arithmetic.  Each input is scaled once to
 integers: a point becomes an integer vector P over its own positive
@@ -46,10 +46,6 @@ MAX_BALL_DIM = 10
 _SHUFFLE_SEED = 0x5EB
 
 Ints = Tuple[int, ...]
-
-
-class UnboundedProblem(Exception):
-    """The lexicographic objective is unbounded over some subset."""
 
 
 class InfeasibleRegion(Exception):
@@ -180,7 +176,10 @@ def _circumball(boundary: Sequence[Scaled]) -> Ball:
     Beyond that the centre is p0 + sum mu_j u_j with u_j = q0 P_j - q_j P0,
     the direction of p_j - p0 = u_j / (q0 q_j); being equidistant from
     p0 and p_j reads 2 q0 q_j u_j . x = |u_j|**2.  The boundary must be
-    affinely independent, as Welzl's recursion keeps it.
+    affinely independent, as Welzl's recursion keeps it.  Row j of the
+    system is 2 q0 q_j > 0 times row j of the positive definite Gram
+    matrix of the u_j, so every leading principal minor, a pivot of
+    `_solve_integer`, is positive: it swaps no rows and ends on det > 0.
     """
     P0, q0 = boundary[0].N, boundary[0].q
     if len(boundary) == 1:
@@ -197,8 +196,6 @@ def _circumball(boundary: Sequence[Scaled]) -> Ball:
     ]
     N, det = _solve_integer(mat)
     U = [sum(n * u[t] for n, (u, _) in zip(N, us)) for t in range(len(P0))]
-    if det < 0:
-        det, U = -det, [-x for x in U]
     C = [det * a + q0 * x for a, x in zip(P0, U)]
     D = q0 * det
     R = q0 * q0 * sum(x * x for x in U)
@@ -298,8 +295,7 @@ class MiniballOracle(ViolationOracle):
         return self.ball_of(G).excludes(self.point_set.points[h])
 
 
-# the implicit rows x >= 0 and y >= 0, which every optimum_of query
-# puts in front of G's rows
+# the implicit rows x >= 0 and y >= 0, taken before every _lex_optimum walk
 _ORTHANT: Tuple[Ints, ...] = ((-1, 0, 0), (0, -1, 0))
 
 
@@ -325,41 +321,22 @@ class HalfplaneLp:
         return cls(halfplanes=hp)
 
 
-def _lex_optimum(constraints: Sequence[Ints]) -> Scaled:
-    """Lexicographic (y, then x) minimum over an intersection of integer
-    halfplanes a*x + b*y <= c, by Seidel's randomized incremental LP
-    (DCG 1991): expected O(m) for m rows.
+def _lex_optimum(rows: Sequence[Ints]) -> Scaled:
+    """Lexicographic (y, then x) minimum over the positive orthant and the
+    integer halfplanes a*x + b*y <= c of `rows`, by Seidel's randomized
+    incremental LP (DCG 1991): expected O(m) for m rows.
 
-    Two rows bound the objective on their own or none do: the normals
-    nearest to the descent direction on either side of it (de Berg et
-    al., ch. 4).  When they do not, UnboundedProblem is raised, before
-    feasibility is looked at.  Their crossing starts the walk, and the
-    other rows follow in a fixed shuffled order.  A vertex (X/W, Y/W),
-    W > 0, violates a row iff a*X + b*Y > c*W; the new optimum then
-    lies on that row's line, where `_lex_on_line` finds it against the
-    rows taken so far, or raises InfeasibleRegion.
+    The orthant bounds the objective, and its corner (0, 0) is its own
+    optimum, so the walk starts there with the orthant's rows taken;
+    `rows` follow in a fixed shuffled order.  A vertex (X/W, Y/W), W > 0,
+    violates a row iff a*X + b*Y > c*W; the new optimum then lies on that
+    row's line, where `_lex_on_line` finds it against the rows taken so
+    far, or raises InfeasibleRegion.
     """
-    # The descent direction is (-eps, -1).  A normal (a, b) lies left of
-    # it iff a > 0 or (a == 0 and b < 0); the nearest one on each side is
-    # the one its rivals lie beyond, by the sign of their cross product.
-    # The objective is bounded iff the descent direction lies in the cone
-    # of the normals, that is strictly inside the cone of these two.
-    left = right = None
-    la = lb = ra = rb = 0
-    for k, (a, b, _) in enumerate(constraints):
-        if a > 0 or (a == 0 and b < 0):
-            if left is None or la * b < lb * a:
-                left, la, lb = k, a, b
-        elif right is None or ra * b > rb * a:
-            right, ra, rb = k, a, b
-    if left is None or right is None or ra * lb - rb * la <= 0:
-        raise UnboundedProblem("objective decreases along a feasible ray")
-    taken = [constraints[left], constraints[right]]
-    X, Y, W = _crossing(*taken)
-    for k in _shuffle_order(len(constraints)):
-        if k == left or k == right:
-            continue
-        row = constraints[k]
+    taken = list(_ORTHANT)
+    X, Y, W = 0, 0, 1
+    for k in _shuffle_order(len(rows)):
+        row = rows[k]
         a, b, c = row
         if a * X + b * Y > c * W:
             X, Y, W = _crossing(row, _lex_on_line(row, taken))
@@ -388,8 +365,8 @@ def _lex_on_line(row: Ints, taken: Sequence[Ints]) -> Ints:
     and a lower one when e < 0.  q is common to all bounds, so they
     compare as the cross-multiplied fractions num / e, signs flipped to
     make every denominator positive.  A parallel row (e == 0) holds on
-    the whole line or on none of it.  `taken` bounds the objective, so
-    an upper bound exists.
+    the whole line or on none of it.  `taken` holds the orthant, which
+    bounds the objective, so an upper bound exists.
     """
     a, b, c = row
     if a > 0 or (a == 0 and b < 0):
@@ -430,7 +407,7 @@ class Lp2dOracle(ViolationOracle):
         cached = self._opt_cache.get(G.mask)
         if cached is None:
             halfplanes = self.lp.halfplanes
-            cached = _lex_optimum([*_ORTHANT, *(halfplanes[i].N for i in G)])
+            cached = _lex_optimum([halfplanes[i].N for i in G])
             self._opt_cache[G.mask] = cached
         return cached
 

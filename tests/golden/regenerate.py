@@ -20,8 +20,11 @@ parse error of an explicit or abstract file, value tables that fail
 monotonicity or locality, USO and concrete documents with a repeated
 vertex key or boolean point indices, a USO document whose block names
 are not strings, a concrete document too large for a full table, an
-explicit document whose violators are a list and a USO document with
-a string outmap entry.
+explicit document whose violators are a list, a USO document with a
+string outmap entry, USO documents missing a vertex, listing a member
+of a vertex in its outmap or past the dense-outmap guard, an abstract
+document whose order repeats a token and concrete documents with a
+repeated or a reserved point label.
 """
 
 from __future__ import annotations
@@ -316,6 +319,23 @@ ERROR_INPUTS = {
     # a 1x2 grid whose source's outmap entry is a name, not a list
     "bad_uso_string_outmap.json": lambda: json.dumps(
         {"blocks": [["a"], ["b", "c"]], "outmap": {"a,b": "c", "a,c": []}}),
+    # a 2x2 coordinate-order USO without its source b,d
+    "bad_uso_missing_vertex.json": lambda: json.dumps(
+        {"blocks": [["a", "b"], ["c", "d"]],
+         "outmap": {"a,c": [], "a,d": ["c"], "b,c": ["a"]}}),
+    # the same USO whose sink a,c lists its own member a
+    "bad_uso_outmap_member.json": lambda: json.dumps(
+        {"blocks": [["a", "b"], ["c", "d"]],
+         "outmap": {"a,c": ["a"], "a,d": ["c"], "b,c": ["a"], "b,d": ["a", "c"]}}),
+    # a 300x300 grid, past the dense-outmap guard, with no outmap entry
+    "bad_uso_too_large.json": lambda: json.dumps(
+        {"blocks": [[f"{c}{i}" for i in range(300)] for c in "ab"], "outmap": {}}),
+    "bad_abstract_repeated_order.json": lambda: json.dumps(
+        {"names": ["a"], "values": {"": "0", "a": "1"}, "order": ["0", "1", "0"]}),
+    "bad_concrete_repeated_point.json": lambda: json.dumps(
+        {"points": ["p", "p"], "constraints": [[0], [1]]}),
+    "bad_concrete_reserved_point.json": lambda: json.dumps(
+        {"points": ["+inf", "x"], "constraints": [[0], [1]]}),
 }
 
 
@@ -452,8 +472,12 @@ def error_commands():
     USO file keying one vertex twice, a concrete file whose point
     indices are booleans, JSON files whose top level is an array, a USO
     file whose block names are not strings, an explicit file with a
-    boolean member, an explicit file whose violators are a list and a
-    USO file with a string outmap entry."""
+    boolean member, an explicit file whose violators are a list, a USO
+    file with a string outmap entry, a USO file missing a vertex, one
+    whose outmap lists a member of its vertex, a USO grid past the
+    dense-outmap guard (exit 4), an abstract order that repeats a token,
+    concrete files with a repeated or a reserved point label, and
+    `bench` with more blocks than members (exit 4)."""
     for name in ("corrupt_abstract_monotonicity.json", "corrupt_abstract_locality.json"):
         path = f"{INPUTS}/{name}"
         yield ["check", path]
@@ -473,6 +497,11 @@ def error_commands():
     yield ["check", f"{INPUTS}/bad_concrete_25.json"]
     yield ["check", f"{INPUTS}/bad_violators_list.json"]
     yield ["check", f"{INPUTS}/bad_uso_string_outmap.json"]
+    for name in ("bad_uso_missing_vertex.json", "bad_uso_outmap_member.json",
+                 "bad_uso_too_large.json", "bad_abstract_repeated_order.json",
+                 "bad_concrete_repeated_point.json", "bad_concrete_reserved_point.json"):
+        yield ["check", f"{INPUTS}/{name}"]
+    yield ["bench", "--delta", "5", "--sizes", "3"]
 
 
 SLICES = (geometric_commands, table_commands, uso_commands, table_solve_commands,

@@ -14,6 +14,12 @@ def test_construction_and_membership():
     assert 2 in s and 1 not in s and 6 not in s
     assert ConstraintSet.empty(4).mask == 0
     assert ConstraintSet.full(4).mask == 0b1111
+    # equal sets hash alike; the ground set size is part of both
+    assert hash(s) == hash(ConstraintSet(0b100101, 6))
+    assert {s, ConstraintSet(0b100101, 6), ConstraintSet(0b100101, 7)} == {
+        s, ConstraintSet(0b100101, 7)}
+    assert repr(s) == "ConstraintSet({0, 2, 5}, n=6)"
+    assert repr(ConstraintSet.empty(3)) == "ConstraintSet({}, n=3)"
 
 
 def test_rejects_out_of_range_indices():

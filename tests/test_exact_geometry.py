@@ -21,7 +21,6 @@ from violator_spaces import (
     Lp2dOracle,
     MiniballOracle,
     PointSet,
-    UnboundedProblem,
     smallest_enclosing_ball,
 )
 from violator_spaces.instances import (
@@ -111,18 +110,9 @@ def ref_smallest_enclosing_ball(points):
 
 def ref_lex_optimum(constraints):
     """Lexicographic (y, then x) minimum by Fraction vertex enumeration:
-    the lowest of all pairwise crossings that every row admits."""
-    dirs = [(Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(0))]
-    for a, b, _ in constraints:
-        dirs.append((b, -a))
-        dirs.append((-b, a))
-    for dx, dy in dirs:
-        if dx == 0 and dy == 0:
-            continue
-        if dy > 0 or (dy == 0 and dx >= 0):
-            continue
-        if all(a * dx + b * dy <= 0 for a, b, _ in constraints):
-            raise UnboundedProblem("objective decreases along a feasible ray")
+    the lowest of all pairwise crossings that every row admits.  The
+    rows must bound the objective, as the orthant's rows do."""
+    constraints = [tuple(map(Fraction, r)) for r in constraints]
     vertices = set()
     m = len(constraints)
     for i in range(m):
@@ -376,6 +366,34 @@ def test_circumball_equals_the_fraction_reference_and_rejects_singular_boundarie
         _circumball(PointSet.from_rows(collinear).points)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_circumball_systems_end_on_a_positive_determinant(d, monkeypatch):
+    # a positive row-scaling of the Gram matrix of independent vectors:
+    # every pivot is a positive leading principal minor, so no sign flip
+    import violator_spaces.instances as inst
+
+    dets = []
+    solve = inst._solve_integer
+
+    def recorded(rows):
+        N, det = solve(rows)
+        dets.append(det)
+        return N, det
+
+    monkeypatch.setattr(inst, "_solve_integer", recorded)
+    rnd = random.Random(77 + d)
+    sizes = set()
+    while len(dets) < 300:
+        rows = [tuple(_rational(rnd, -9, 9) for _ in range(d))
+                for _ in range(rnd.randint(3, d + 1))]
+        if _rank([tuple(a - b for a, b in zip(p, rows[0])) for p in rows[1:]]) < len(rows) - 1:
+            continue
+        assert _circumball(PointSet.from_rows(rows).points) == ref_circumball(rows)
+        sizes.add(len(rows))
+    assert all(det > 0 for det in dets)
+    assert sizes == set(range(3, d + 2))
+
+
 def test_integer_solve_equals_rational_elimination():
     rnd = random.Random(72)
     for _ in range(500):
@@ -409,7 +427,7 @@ def _lp_rows(rnd, n):
 def _outcome(fn, arg):
     try:
         return tuple(fn(arg))
-    except (UnboundedProblem, InfeasibleRegion) as exc:
+    except InfeasibleRegion as exc:
         return type(exc)
 
 
@@ -423,10 +441,10 @@ def test_lex_optimum_equals_the_fraction_reference():
             [(-1, 0, 3), (0, -1, Fraction(-1, 2)), (1, 1, 2)],
         ])
         rows = [tuple(map(Fraction, r)) for r in implicit] + _lp_rows(rnd, rnd.randint(0, 8))
-        ref = _outcome(ref_lex_optimum, rows)
+        ref = _outcome(ref_lex_optimum, ORTHANT + rows)
         assert _outcome(_lex_optimum, [Scaled.of(r).N for r in rows]) == ref
         seen.add(ref if isinstance(ref, type) else "optimum")
-    assert seen == {UnboundedProblem, InfeasibleRegion, "optimum"}
+    assert seen == {InfeasibleRegion, "optimum"}
 
 
 # A row spec: (kind, a, b, slack, scale).  The rows are integer, over a
@@ -442,7 +460,7 @@ def _spec_rows(px, py, w, specs, open_below):
     """Integer rows from specs: lines through P, rows that hold at P with
     slack, scaled copies and parallel shifts of the previous row, and
     horizontal rows at or below P.  With open_below no normal points
-    down, so the objective is unbounded."""
+    down, so only the orthant bounds the objective."""
     rows = []
     for kind, a, b, slack, scale in specs:
         if open_below:
@@ -477,12 +495,10 @@ def test_seidel_lp_equals_the_fraction_reference_on_up_to_60_rows(
         a, b, c = rows[len(rows) // 2]
         rows.insert(_shuffle_order(len(rows) + 1)[-1], (-a, -b, -c - 1))
     assert len(rows) <= 60
-    expected = _outcome(ref_lex_optimum, [tuple(map(Fraction, r)) for r in rows])
+    expected = _outcome(ref_lex_optimum, ORTHANT + rows)
     assert _outcome(_lex_optimum, rows) == expected
     if pin and infeasible_last:
         assert expected is InfeasibleRegion
-    elif open_below and not (pin or infeasible_last):
-        assert expected is UnboundedProblem
 
 
 # A boundedness spec: (kind, a, b, c, c2).  Each gives one or two rows.
@@ -493,7 +509,8 @@ _BOUND_SPEC = st.tuples(
 
 
 def _bound_rows(specs):
-    """Rows whose boundedness turns on the nearest normals: strips with
+    """Rows that alone would leave the objective bounded or not by their
+    nearest normals, so that the orthant binds or does not: strips with
     opposite normals (a, b) and (-a, -b); single rows; normals exactly
     opposite across the descent direction (-eps, -1), (k, b) and (-k, -b)
     with k > 0; the floor (0, -1) alone or with an x bound on either
@@ -525,33 +542,34 @@ def _bound_rows(specs):
                       .filter(lambda r: r[:2] != (0, 0)), max_size=2))
 def test_boundedness_test_equals_the_fraction_reference(specs, extra):
     rows = _bound_rows(specs) + extra
-    expected = _outcome(ref_lex_optimum, [tuple(map(Fraction, r)) for r in rows])
+    expected = _outcome(ref_lex_optimum, ORTHANT + rows)
     assert _outcome(_lex_optimum, rows) == expected
 
 
+# Shapes that bound the objective on their own or leave it unbounded;
+# over the orthant its corner is the optimum of every feasible one.
 @pytest.mark.parametrize("rows, expected", [
-    ([], UnboundedProblem),
-    ([(0, -1, 0)], UnboundedProblem),
-    ([(0, -1, 0), (-1, 0, 2)], (-2, 0)),
-    ([(0, -1, 0), (1, 0, 2)], UnboundedProblem),
-    ([(3, -2, 1)], UnboundedProblem),
-    # horizontal, vertical and slanted strips leave a line of descent
-    ([(0, -1, 0), (0, 1, 5)], UnboundedProblem),
-    ([(1, 0, 1), (-1, 0, 1)], UnboundedProblem),
-    ([(1, 1, 2), (-1, -1, 0)], UnboundedProblem),
+    ([], (0, 0)),
+    ([(0, -1, 0)], (0, 0)),
+    ([(0, -1, 0), (-1, 0, 2)], (0, 0)),
+    ([(0, -1, 0), (1, 0, 2)], (0, 0)),
+    ([(3, -2, 1)], (0, 0)),
+    # horizontal, vertical and slanted strips: alone, a line of descent
+    ([(0, -1, 0), (0, 1, 5)], (0, 0)),
+    ([(1, 0, 1), (-1, 0, 1)], (0, 0)),
+    ([(1, 1, 2), (-1, -1, 0)], (0, 0)),
     # exactly opposite normals on either side of the descent direction
-    ([(1, -1, 0), (-1, 1, 0)], UnboundedProblem),
-    ([(2, -1, 0), (-2, 1, 3)], UnboundedProblem),
-    # a wedge opening up has its apex as optimum, one opening down none
+    ([(1, -1, 0), (-1, 1, 0)], (0, 0)),
+    ([(2, -1, 0), (-2, 1, 3)], (0, 0)),
+    # wedges with their apex at the corner, opening up and down
     ([(1, -1, 0), (-1, -1, 0)], (0, 0)),
-    ([(1, 1, 0), (-1, 1, 0)], UnboundedProblem),
-    # the normals are judged before feasibility: an empty strip is
-    # unbounded, and only with an x bound is it infeasible
-    ([(0, 1, -1), (0, -1, 0)], UnboundedProblem),
+    ([(1, 1, 0), (-1, 1, 0)], (0, 0)),
+    # an empty strip is infeasible, with or without an x bound
+    ([(0, 1, -1), (0, -1, 0)], InfeasibleRegion),
     ([(0, 1, -1), (0, -1, 0), (-1, 0, 0)], InfeasibleRegion),
 ])
 def test_boundedness_cases(rows, expected):
-    assert _outcome(ref_lex_optimum, [tuple(map(Fraction, r)) for r in rows]) == expected
+    assert _outcome(ref_lex_optimum, ORTHANT + rows) == expected
     assert _outcome(_lex_optimum, rows) == expected
 
 

@@ -34,8 +34,12 @@ unknown `--w` name, `--r` equal to n, `uso tabulate` on a table file, a
 USO file keying one vertex twice, a concrete file with boolean point
 indices, JSON files whose top level is an array, a USO file whose block
 names are not strings, an explicit file with a boolean member, an
-explicit file whose violators are a list and a USO file with a string
-outmap entry (exit 2).  `golden/regenerate.py` rewrites it.
+explicit file whose violators are a list, a USO file with a string
+outmap entry, a USO file missing a vertex or listing a member of a
+vertex in its outmap, an abstract order repeating a token and concrete
+files with a repeated or a reserved point label (exit 2), and a USO
+grid past the dense-outmap guard and `bench` with more blocks than
+members (exit 4).  `golden/regenerate.py` rewrites it.
 """
 
 import json
