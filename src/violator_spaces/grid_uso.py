@@ -6,6 +6,35 @@ picks one element per block.  An orientation is stored as an outmap
 has exactly one sink.  The induced violator mapping sends a set meeting
 every block to the outmap of its subgrid's sink, and any other set to
 the union of the blocks it misses.
+
+validate_uso counts sinks only on the subgrids with at most three
+members per block.  Listed with each block's choices sorted by mask,
+every proper subgrid comes first, so the first subgrid whose sink count
+is not 1 is inclusion-minimal.  By the lemma below such a subgrid has at
+most two members per block or is a line of three, so the restricted
+scan meets it, in the same order as a scan over every subgrid, and both
+accept the same orientations and return the same witness.
+
+Lemma.  Let F be a subgrid whose proper subgrids each have one sink,
+with a block i of k >= 3 members, and not a line of three.  Then F has
+exactly one sink.
+
+- At most one: two sinks u, v are both sinks of F minus any member x of
+  F_i other than u_i and v_i, a proper subgrid.
+- Let w_p be the sink of the layer of F with block i fixed to p.  Then
+  "p -> q iff w_p points to q" is a tournament T on F_i, since F cut to
+  {p, q} in block i has one sink, and for S within F_i the sinks of F
+  cut to S are the w_p with p a sink of T on S.
+- k >= 4: if F has no sink, every triple of F_i spans a proper subgrid,
+  so every triple of T is transitive; then T is transitive and has a
+  sink, a contradiction.  So k = 3 and T is a 3-cycle x -> z -> y -> x:
+  within F, a = w_x points only to z, b = w_z to y and c = w_y to x.
+- As F is not a line, another block j has at least two members.  Pick e
+  in F_j that is the j-coordinate of exactly one of a, b, c, or of none.
+  F minus e in block j is a proper subgrid, so its tournament on F_i is
+  transitive, yet at least two of a, b, c stay layer sinks in it.  If
+  only a has a_j = e, then b and c force the arcs z -> y, x -> z and
+  y -> x, the 3-cycle again; the other cases are symmetric.
 """
 
 from __future__ import annotations
@@ -13,7 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
-from itertools import product
+from itertools import combinations, product
+from math import comb, prod
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .algorithms import Rng
@@ -168,15 +198,11 @@ class UsoWitness:
 
 
 def _valid_subsets(partition: GridPartition):
-    """All subsets meeting every block, as (mask, members-per-block)."""
-    per_block = []
-    for b in partition.blocks:
-        subs = []
-        k = len(b)
-        for m in range(1, 1 << k):
-            chosen = tuple(b[i] for i in range(k) if (m >> i) & 1)
-            subs.append((_mask_of(chosen), chosen))
-        per_block.append(subs)
+    """Subsets meeting every block in 1-3 members, as (mask, members-per-block)."""
+    per_block = [
+        sorted((_mask_of(c), c) for r in (1, 2, 3) for c in combinations(b, r))
+        for b in partition.blocks
+    ]
     for combo in product(*per_block):
         mask = 0
         for bm, _ in combo:
@@ -185,13 +211,17 @@ def _valid_subsets(partition: GridPartition):
 
 
 def validate_uso(u: GridUso) -> Optional[UsoWitness]:
-    """Exhaustive unique-sink check over every nonempty subgrid.
+    """Unique-sink check over the subgrids with at most three members per
+    block, which decides it for every subgrid (see the module's lemma).
 
     Returns None and marks the orientation validated when each of them
-    has exactly one sink, otherwise the first offending subgrid.
+    has exactly one sink, otherwise the first offending subgrid.  The
+    budget is 2**16 subgrids, Π(k + C(k,2) + C(k,3)) over the block
+    sizes k; a larger grid raises ValueError before any is listed.
     """
-    if u.n > EXHAUSTIVE_WARN_N:
-        raise ValueError(f"validation is exhaustive; n <= {EXHAUSTIVE_WARN_N} only")
+    count = prod(k + comb(k, 2) + comb(k, 3) for k in map(len, u.partition.blocks))
+    if count > 1 << EXHAUSTIVE_WARN_N:
+        raise ValueError(f"validation would scan {count} > {1 << EXHAUSTIVE_WARN_N} subgrids")
     for mask, members in _valid_subsets(u.partition):
         sinks = [J for J in product(*members) if u.outmap[J] & mask == 0]
         if len(sinks) != 1:

@@ -24,7 +24,8 @@ explicit document whose violators are a list, a USO document with a
 string outmap entry, USO documents missing a vertex, listing a member
 of a vertex in its outmap or past the dense-outmap guard, an abstract
 document whose order repeats a token and concrete documents with a
-repeated or a reserved point label.
+repeated or a reserved point label, an 11x11 USO with one edge
+reversed and a 12x11 USO past the validation budget.
 """
 
 from __future__ import annotations
@@ -189,9 +190,10 @@ def _corrupt(axiom: str) -> str:
     return json.dumps(_explicit(names, table))
 
 
-def _coordinate_uso(seed: int, sizes) -> str:
+def _coordinate_uso(seed: int, sizes, flip=None) -> str:
     """A coordinate-order grid USO: every edge points to the element of
-    lower rank in its block."""
+    lower rank in its block; `flip`, a vertex J and a member j outside
+    it, names an edge {J, J with j in its block} to reverse."""
     rnd = random.Random(seed)
     blocks, start = [], 0
     for size in sizes:
@@ -201,11 +203,16 @@ def _coordinate_uso(seed: int, sizes) -> str:
     for b in blocks:
         for r, h in enumerate(rnd.sample(b, len(b))):
             rank[h] = r
-    outmap = {}
-    for J in itertools.product(*blocks):
-        out = [h for k, b in enumerate(blocks) for h in b if rank[h] < rank[J[k]]]
-        outmap[",".join(f"u{h}" for h in J)] = [f"u{h}" for h in sorted(out)]
-    return json.dumps({"blocks": [[f"u{h}" for h in b] for b in blocks], "outmap": outmap})
+    outmap = {J: {h for k, b in enumerate(blocks) for h in b if rank[h] < rank[J[k]]}
+              for J in itertools.product(*blocks)}
+    if flip:
+        J, j = flip
+        k = next(k for k, b in enumerate(blocks) if j in b)
+        outmap[J] ^= {j}
+        outmap[J[:k] + (j,) + J[k + 1:]] ^= {J[k]}
+    return json.dumps({"blocks": [[f"u{h}" for h in b] for b in blocks],
+                       "outmap": {",".join(f"u{h}" for h in J): [f"u{h}" for h in sorted(out)]
+                                  for J, out in outmap.items()}})
 
 
 _FGH = ["f", "g", "h"]
@@ -327,6 +334,11 @@ ERROR_INPUTS = {
     "bad_uso_outmap_member.json": lambda: json.dumps(
         {"blocks": [["a", "b"], ["c", "d"]],
          "outmap": {"a,c": ["a"], "a,d": ["c"], "b,c": ["a"], "b,d": ["a", "c"]}}),
+    # the 11x11 USO with the edge from u5,u16 to u9,u16 reversed: the
+    # 2x2 subgrid u2,u5,u9,u16 has no sink
+    "bad_uso_11x11_flipped.json": lambda: _coordinate_uso(1111, (11, 11), ((5, 16), 9)),
+    # a valid 12x11 USO past the validation budget of 2**16 subgrids
+    "bad_uso_12x11.json": lambda: _coordinate_uso(1211, (12, 11)),
     # a 300x300 grid, past the dense-outmap guard, with no outmap entry
     "bad_uso_too_large.json": lambda: json.dumps(
         {"blocks": [[f"{c}{i}" for i in range(300)] for c in "ab"], "outmap": {}}),
@@ -351,6 +363,10 @@ GENERATED = {
     "points_degenerate.csv": _degenerate,
     # solved only: its base cases run the oracle's sink scans
     "uso_4x4x3.json": lambda: _coordinate_uso(443, (4, 4, 3)),
+    # one block of 40, where Clarkson's stages and weighted draws run,
+    # and an 11x11 grid, whose validation scans 53,361 subgrids
+    "uso_40.json": lambda: _coordinate_uso(40, (40,)),
+    "uso_11x11.json": lambda: _coordinate_uso(1111, (11, 11)),
 }
 
 INSTANCES = [
@@ -382,6 +398,8 @@ USO_FILES = [
     "fixtures/cyclic_cube_uso.json",
     f"{INPUTS}/uso_3x2x2.json",
     f"{INPUTS}/uso_4x4x3.json",
+    f"{INPUTS}/uso_40.json",
+    f"{INPUTS}/uso_11x11.json",
 ]
 # solved through their violator tables: a concrete file's value table,
 # an abstract file's up masks and an explicit file as loaded
@@ -476,8 +494,10 @@ def error_commands():
     file with a string outmap entry, a USO file missing a vertex, one
     whose outmap lists a member of its vertex, a USO grid past the
     dense-outmap guard (exit 4), an abstract order that repeats a token,
-    concrete files with a repeated or a reserved point label, and
-    `bench` with more blocks than members (exit 4)."""
+    concrete files with a repeated or a reserved point label, `bench`
+    with more blocks than members (exit 4), an 11x11 USO with one edge
+    reversed (exit 1) and a 12x11 USO past the validation budget (exit
+    4)."""
     for name in ("corrupt_abstract_monotonicity.json", "corrupt_abstract_locality.json"):
         path = f"{INPUTS}/{name}"
         yield ["check", path]
@@ -502,6 +522,8 @@ def error_commands():
                  "bad_concrete_repeated_point.json", "bad_concrete_reserved_point.json"):
         yield ["check", f"{INPUTS}/{name}"]
     yield ["bench", "--delta", "5", "--sizes", "3"]
+    yield ["check", f"{INPUTS}/bad_uso_11x11_flipped.json"]
+    yield ["check", f"{INPUTS}/bad_uso_12x11.json"]
 
 
 SLICES = (geometric_commands, table_commands, uso_commands, table_solve_commands,

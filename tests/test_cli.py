@@ -322,7 +322,7 @@ def test_uso_generate_random_and_tabulate(capsys, tmp_path):
     assert code == 0
 
 
-def test_uso_tabulate_past_16_members_stops_at_validation(capsys, tmp_path):
+def test_uso_tabulate_past_16_members_stops_at_the_tabulation_guard(capsys, tmp_path):
     out_file = tmp_path / "u.json"
     code, _, _ = run_cli(
         capsys, "uso", "generate", "--blocks", "17", "--kind", "coordinate",
@@ -331,7 +331,38 @@ def test_uso_tabulate_past_16_members_stops_at_validation(capsys, tmp_path):
     assert code == 0
     code, out, err = run_cli(capsys, "uso", "tabulate", out_file)
     assert (code, out) == (4, "")
-    assert err == "error: validation is exhaustive; n <= 16 only\n"
+    assert err == "error: refusing to tabulate n=17 > 16 subsets\n"
+
+
+@pytest.mark.parametrize("blocks, count", [("12,11", 68838), ("74", 67599)])
+def test_uso_past_the_validation_budget_is_refused_before_any_subgrid(
+    capsys, tmp_path, monkeypatch, blocks, count
+):
+    from violator_spaces import grid_uso
+
+    out_file = tmp_path / "u.json"
+    code, _, _ = run_cli(capsys, "uso", "generate", "--blocks", blocks, "--out", out_file)
+    assert code == 0
+
+    def no_subsets(*args):
+        raise AssertionError("validation listed subgrids past its budget")
+
+    monkeypatch.setattr(grid_uso, "combinations", no_subsets)
+    for command in ("check", "solve"):
+        code, out, err = run_cli(capsys, command, out_file)
+        assert (code, out) == (4, "")
+        assert err == f"error: validation would scan {count} > 65536 subgrids\n"
+
+
+def test_uso_file_at_the_validation_budget_checks_and_solves(capsys, tmp_path):
+    # 73 + C(73,2) + C(73,3) = 64897 subgrids, the most one block allows
+    out_file = tmp_path / "u.json"
+    code, _, _ = run_cli(capsys, "uso", "generate", "--blocks", "73", "--out", out_file)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "check", out_file)
+    assert code == 0 and out.startswith("ok: unique-sink orientation")
+    code, _, _ = run_cli(capsys, "solve", out_file, "--algo", "clarkson2")
+    assert code == 0
 
 
 def test_uso_generate_random_combs_where_rejection_sampling_fails(capsys, tmp_path):

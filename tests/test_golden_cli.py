@@ -19,6 +19,8 @@ repeated or a missing key exit 2 with their parse error.
 Last, it holds `solve` (every --algo, two seeds, text and JSON) on the
 cyclic cube, a 3x2x2 and a 4x4x3 coordinate-order USO, whose base
 cases run the oracle's sink scans: their `edge_evals` must not move.
+The same rows on a 40-member one-block USO run Clarkson's stages and
+weighted draws, and on an 11x11 USO validation past 16 members.
 
 It also holds `solve` (every --algo, two seeds, text and JSON) on a
 concrete, an abstract and an explicit file, which runs each file's
@@ -39,7 +41,9 @@ outmap entry, a USO file missing a vertex or listing a member of a
 vertex in its outmap, an abstract order repeating a token and concrete
 files with a repeated or a reserved point label (exit 2), and a USO
 grid past the dense-outmap guard and `bench` with more blocks than
-members (exit 4).  `golden/regenerate.py` rewrites it.
+members (exit 4), and `check` on an 11x11 USO with one edge reversed
+(exit 1) and on a 12x11 USO past the validation budget (exit 4).
+`golden/regenerate.py` rewrites it.
 """
 
 import json

@@ -116,6 +116,78 @@ def test_two_sink_orientation_yields_witness():
     assert len(witness.sinks) == 2
 
 
+def _reference_witness(u):
+    """The sink count over every nonempty subgrid, frozen here as the
+    reference: each block's subsets in binary order of their positions,
+    combined in product order.  (G mask, sinks) of the first subgrid
+    whose count is not 1, or None."""
+    from itertools import product
+
+    per_block = []
+    for b in u.partition.blocks:
+        k = len(b)
+        per_block.append([tuple(b[i] for i in range(k) if (m >> i) & 1)
+                          for m in range(1, 1 << k)])
+    for members in product(*per_block):
+        mask = sum(1 << h for chosen in members for h in chosen)
+        sinks = [J for J in product(*members) if u.outmap[J] & mask == 0]
+        if len(sinks) != 1:
+            return mask, tuple(sinks)
+    return None
+
+
+def _edges(p):
+    """Every edge of the grid, as (J, j): J and its neighbor in
+    direction j, with j above J's element of its block."""
+    return [(J, j) for J in p.vertices() for j in range(p.n) if j > J[p.block_of[j]]]
+
+
+def _flipped(p, outmap, edges):
+    """The orientation of the outmap with the given edges reversed."""
+    outmap = dict(outmap)
+    for J, j in edges:
+        i = p.block_of[j]
+        Jp = J[:i] + (j,) + J[i + 1:]
+        outmap[J] ^= 1 << j
+        outmap[Jp] ^= 1 << J[i]
+    return GridUso(p, outmap)
+
+
+def _agrees_with_the_reference(u):
+    witness = validate_uso(u)
+    expected = _reference_witness(u)
+    assert (witness and (witness.G.mask, witness.sinks)) == expected
+    return expected is None
+
+
+@pytest.mark.parametrize("sizes", [(3,), (4,), (2, 2), (3, 2), (2, 2, 2)])
+def test_validation_agrees_with_every_subgrid_on_every_orientation(sizes):
+    p = GridPartition.uniform(list(sizes))
+    edges = _edges(p)
+    # every edge points to its lower end, then each bit of `bits` flips one
+    low = {J: sum(1 << j for j in range(p.n) if j < J[p.block_of[j]]) for J in p.vertices()}
+    usos = 0
+    for bits in range(1 << len(edges)):
+        flips = [e for pos, e in enumerate(edges) if (bits >> pos) & 1]
+        usos += _agrees_with_the_reference(_flipped(p, low, flips))
+    assert 0 < usos < 1 << len(edges)
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 2), (4, 4), (3, 3, 3), (4, 4, 2), (5, 3)])
+def test_validation_agrees_with_every_subgrid_near_usos(sizes):
+    p = GridPartition.uniform(list(sizes))
+    edges = _edges(p)
+    usos = 0
+    for seed in range(8):
+        rng = Rng(seed)
+        for base in (coordinate_order_uso(p, _ranked_at_random(p, seed)),
+                     combed_random_uso(p, rng)):
+            for flips in range(4):
+                u = _flipped(p, base.outmap, rng.subset(edges, flips))
+                usos += _agrees_with_the_reference(u)
+    assert 8 <= usos < 64
+
+
 # -- cyclic cube fixture -------------------------------------------------
 
 

