@@ -36,7 +36,8 @@ from .algorithms import (
 )
 from .core import ConstraintSet, SolveStats, ViolationOracle, _bits
 from .explicit import (
-    EXHAUSTIVE_WARN_N, ExplicitViolatorSpace, check_table_size, tabulate_oracle,
+    EXHAUSTIVE_WARN_N, ExplicitViolatorSpace, check_table_size, check_tabulation_size,
+    tabulate_oracle,
 )
 from .fileio import (
     ParseError,
@@ -250,15 +251,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    kind, obj = _open(*load_path(args.path))
+    kind, obj = load_path(args.path)
     # an explicit file is a table already; only derived tables are
-    # guarded, before they are built
-    if kind != "explicit" and obj.n > EXHAUSTIVE_WARN_N:
+    # guarded, before the file is validated or a table is built
+    n = len(obj[1]) if kind in LIVE_ORACLES else obj.n
+    if kind != "explicit" and n > EXHAUSTIVE_WARN_N:
         raise ValueError(
-            f"structure needs a table; n={obj.n} exceeds"
+            f"structure needs a table; n={n} exceeds"
             f" the n <= {EXHAUSTIVE_WARN_N} tabulation guard"
         )
-    space = _table(kind, obj)
+    space = _table(*_open(kind, obj))
     st = space.structure()
     names = space.names
     labels = st.class_labels()
@@ -330,10 +332,12 @@ def cmd_uso_generate(args) -> int:
 
 
 def cmd_uso_tabulate(args) -> int:
-    # reject other kinds before validating anything
+    # reject other kinds, and grids too large to tabulate, before
+    # validating anything
     kind, obj = load_path(args.path)
     if kind != "uso":
         raise ParseError(f"{args.path} is not a USO file")
+    check_tabulation_size(obj[0].n)
     _, oracle = _open(kind, obj)
     # the tabulated table of a valid USO is valid: it is not re-checked
     _emit_json(explicit_to_dict(tabulate_oracle(oracle)), args.out)

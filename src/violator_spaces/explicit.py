@@ -563,6 +563,13 @@ class ConcreteLpProblem:
         return table
 
 
+def check_tabulation_size(n: int) -> None:
+    """Refuse to tabulate an oracle over more than EXHAUSTIVE_WARN_N
+    elements, before any query."""
+    if n > EXHAUSTIVE_WARN_N:
+        raise ValueError(f"refusing to tabulate n={n} > {EXHAUSTIVE_WARN_N} subsets")
+
+
 def tabulate_oracle(oracle: ViolationOracle) -> ExplicitViolatorSpace:
     """Materialize V(G) for every subset by scanning all h outside G.
 
@@ -570,8 +577,7 @@ def tabulate_oracle(oracle: ViolationOracle) -> ExplicitViolatorSpace:
     run check_axioms() to certify it.
     """
     n = oracle.n
-    if n > EXHAUSTIVE_WARN_N:
-        raise ValueError(f"refusing to tabulate n={n} > {EXHAUSTIVE_WARN_N} subsets")
+    check_tabulation_size(n)
     table = []
     for g in range(1 << n):
         G = ConstraintSet(g, n)

@@ -370,12 +370,21 @@ class OutmapOracle(ViolationOracle):
     J".  With the block masks computed once, a set missing a block is
     answered in O(delta) big-integer operations and no evaluation, and a
     vertex in O(delta) operations and exactly one evaluation.  Any other
-    set falls back to a sink scan over its subgrid: G's members are
-    listed once, and each vertex J, in product order, is asked about the
-    members outside J in ascending order until one is in its outmap.
-    The first vertex where none is, the sink, is asked about h.  Every
-    membership query is charged one evaluation, and the scan makes no
-    query beyond these.
+    set walks to its subgrid's sink, as `algorithms._chase` walks to a
+    basis: from the vertex of each block's lowest member in G, G's
+    members are asked about cyclically in ascending order, skipping the
+    current vertex J's own; an out-edge j moves J to `_step(J, j)`, and
+    once all g - delta members outside J are asked in a row without one,
+    J is the sink and is asked about h.  On a USO the walk ends at the
+    subgrid's unique sink.  A vertex the walk reaches twice (only a
+    non-USO membership can lead there) falls back to a scan: each vertex
+    J, in product order, is asked about the members outside J in
+    ascending order until one is in its outmap, the first vertex where
+    none is is asked about h, and with none at all the scan raises.
+    Every membership query, the walk's and the scan's, is charged one
+    evaluation, and no other query is made.  On a non-USO membership
+    whose subgrid has several sinks, the walk may answer from another
+    sink than the scan's first.
 
     A member scan asks about one set G for many h, so the oracle keeps
     the last queried set's classification: (mask, union of the blocks it
@@ -421,6 +430,30 @@ class OutmapOracle(ViolationOracle):
             charge()
             return member(J, h)
         members = list(G)
+        g = len(members)
+        block_masks, block_of = self.partition.block_masks, self.partition.block_of
+        J = tuple((gmask & bm & -(gmask & bm)).bit_length() - 1 for bm in block_masks)
+        seen = {J}
+        quiet = i = 0
+        # J is the sink once the members outside it, all but one per
+        # block, are asked in a row without an out-edge
+        while quiet < g - len(block_masks):
+            j = members[i]
+            i = (i + 1) % g
+            if j in J:
+                continue
+            charge()
+            if not member(J, j):
+                quiet += 1
+                continue
+            J = _step(J, j, block_of)
+            if J in seen:
+                break
+            seen.add(J)
+            quiet = 0
+        else:
+            charge()
+            return member(J, h)
         for J in _subgrid(gmask, self.partition):
             for j in members:
                 if j not in J:

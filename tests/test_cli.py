@@ -334,6 +334,27 @@ def test_uso_tabulate_past_16_members_stops_at_the_tabulation_guard(capsys, tmp_
     assert err == "error: refusing to tabulate n=17 > 16 subsets\n"
 
 
+def test_tabulation_guards_run_before_a_uso_file_is_validated(
+    capsys, tmp_path, monkeypatch
+):
+    import violator_spaces.cli
+
+    out_file = tmp_path / "u.json"
+    code, _, _ = run_cli(capsys, "uso", "generate", "--blocks", "73", "--out", out_file)
+    assert code == 0
+
+    def no_validation(*args):
+        raise AssertionError("validated a file past the tabulation guard")
+
+    monkeypatch.setattr(violator_spaces.cli, "validate_uso", no_validation)
+    code, out, err = run_cli(capsys, "structure", out_file)
+    assert (code, out) == (4, "")
+    assert err == "error: structure needs a table; n=73 exceeds the n <= 16 tabulation guard\n"
+    code, out, err = run_cli(capsys, "uso", "tabulate", out_file)
+    assert (code, out) == (4, "")
+    assert err == "error: refusing to tabulate n=73 > 16 subsets\n"
+
+
 @pytest.mark.parametrize("blocks, count", [("12,11", 68838), ("74", 67599)])
 def test_uso_past_the_validation_budget_is_refused_before_any_subgrid(
     capsys, tmp_path, monkeypatch, blocks, count

@@ -408,7 +408,58 @@ def _reference_query(partition, membership, G, h):
     raise AssertionError("no sink found: orientation is not a USO")
 
 
-def test_every_query_charges_what_the_reference_scan_charges():
+def _reference_walk(partition, query, G):
+    """The sink walk the oracle is held to, frozen here: from each
+    block's lowest member in G, G's members are asked about cyclically in
+    ascending order, skipping the vertex's own, and an out-edge moves to
+    its neighbor.  The vertex it ends on once every member outside it is
+    asked in a row without an out-edge, or None once it reaches a vertex
+    twice."""
+    gmask = G.mask
+    members = list(G)
+    J = tuple(next(x for x in b if (gmask >> x) & 1) for b in partition.blocks)
+    seen = [J]
+    quiet, i = 0, 0
+    while quiet < len(members) - len(partition.blocks):
+        j = members[i % len(members)]
+        i += 1
+        if j in J:
+            continue
+        if not query(J, j):
+            quiet += 1
+            continue
+        block = partition.block_of[j]
+        J = J[:block] + (j,) + J[block + 1:]
+        if J in seen:
+            return None
+        seen.append(J)
+        quiet = 0
+    return J
+
+
+def _reference_walk_query(partition, membership, G, h):
+    """One query answered by the sink walk, falling back to the frozen
+    scan when the walk revisits a vertex: (answer, edge evaluations it
+    charges)."""
+    charged = 0
+
+    def query(J, j):
+        nonlocal charged
+        charged += 1
+        return membership(J, j)
+
+    gmask = G.mask
+    meets_every_block = all(any((gmask >> x) & 1 for x in b) for b in partition.blocks)
+    if not meets_every_block or len(G) == partition.delta:
+        return _reference_query(partition, membership, G, h)
+    J = _reference_walk(partition, query, G)
+    if J is not None:
+        return query(J, h), charged
+    answer, scanned = _reference_query(partition, membership, G, h)
+    return answer, charged + scanned
+
+
+def _charge_oracles():
     oracles = [uso_oracle(cyclic_cube_uso())]
     p322 = GridPartition.uniform([3, 2, 2])
     oracles += [uso_oracle(random_uso(p322, Rng(seed))) for seed in (5, 6, 7)]
@@ -416,20 +467,34 @@ def test_every_query_charges_what_the_reference_scan_charges():
     oracles.append(uso_oracle(coordinate_order_uso(p44, _ranked_at_random(p44, 3))))
     p332 = GridPartition.uniform([3, 3, 2])
     oracles.append(coordinate_order_oracle(p332, _ranked_at_random(p332, 4)))
-    for oracle in oracles:
-        n, scans = oracle.n, 0
-        for g in range(1 << n):
-            G = ConstraintSet(g, n)
-            for h in range(n):
-                if (g >> h) & 1:
-                    continue
-                before = oracle.edge_evals
-                answer = oracle.violates(G, h)
-                charged = oracle.edge_evals - before
-                expected = _reference_query(oracle.partition, oracle._membership, G, h)
-                assert (answer, charged) == expected, (g, h)
-                scans += charged > 1
-        assert scans > 0
+    return oracles
+
+
+def _every_query(n):
+    for g in range(1 << n):
+        for h in range(n):
+            if not (g >> h) & 1:
+                yield ConstraintSet(g, n), h
+
+
+def test_every_answer_equals_the_reference_scan():
+    for oracle in _charge_oracles():
+        for G, h in _every_query(oracle.n):
+            expected, _ = _reference_query(oracle.partition, oracle._membership, G, h)
+            assert oracle.violates(G, h) == expected, (G.mask, h)
+
+
+def test_every_query_charges_what_the_reference_walk_charges():
+    for oracle in _charge_oracles():
+        walks = 0
+        for G, h in _every_query(oracle.n):
+            before = oracle.edge_evals
+            answer = oracle.violates(G, h)
+            charged = oracle.edge_evals - before
+            expected = _reference_walk_query(oracle.partition, oracle._membership, G, h)
+            assert (answer, charged) == expected, (G.mask, h)
+            walks += charged > 1
+        assert walks > 0
 
 
 def test_subgrid_without_sink_raises_the_same_error():
@@ -443,7 +508,90 @@ def test_subgrid_without_sink_raises_the_same_error():
     with pytest.raises(AssertionError) as raised:
         oracle.violates(G, 3)
     assert str(raised.value) == str(expected.value)
-    assert oracle.edge_evals == 2
+    # the walk's two steps back to its start, then the scan's two vertices
+    assert oracle.edge_evals == 4
+
+
+def test_a_revisiting_walk_answers_from_the_scans_sink():
+    # an edge-consistent orientation of the cube {0,1} x {3,4} x {5,6},
+    # not a USO, whose one sink is (0, 3, 6); the walk from (0, 3, 5)
+    # goes to (0, 4, 5), (1, 4, 5), (1, 3, 5) and back.  Only the sink
+    # has 2, the member of block 0 outside G, in its outmap.
+    outmap = {
+        (0, 3, 5): (4, 6), (0, 3, 6): (2,), (0, 4, 5): (1,), (0, 4, 6): (3, 5),
+        (1, 3, 5): (0,), (1, 3, 6): (0, 5), (1, 4, 5): (3,), (1, 4, 6): (0, 3, 5),
+    }
+    p = GridPartition.uniform([3, 2, 2])
+    membership = lambda J, j: j in outmap[J]  # noqa: E731
+    G = ConstraintSet.of([0, 1, 3, 4, 5, 6], 7)
+    assert _reference_walk(p, membership, G) is None
+    oracle = OutmapOracle(p, membership)
+    assert oracle.violates(G, 2)
+    assert _reference_query(p, membership, G, 2)[0]
+    assert (True, oracle.edge_evals) == _reference_walk_query(p, membership, G, 2)
+
+
+def _relabeled(u, swaps):
+    """u with the two members of each block i in `swaps` exchanged."""
+    image = list(range(u.n))
+    for i in swaps:
+        a, b = u.partition.blocks[i]
+        image[a], image[b] = b, a
+    outmap = {
+        tuple(image[x] for x in J): sum(1 << image[x] for x in range(u.n) if (s >> x) & 1)
+        for J, s in u.outmap.items()
+    }
+    return GridUso(u.partition, outmap)
+
+
+def _cyclic_layers_uso(m):
+    """A delta = 4 USO with a directed cycle: block 0 of m members is
+    combed by rank (each edge in it points to the lower member), and
+    layer a is a relabeling of the cyclic cube shifted onto blocks 1-3,
+    a different one for each a."""
+    cube = cyclic_cube_uso()
+    p = GridPartition.uniform([m, 2, 2, 2])
+    outmap = {}
+    for a in range(m):
+        swaps = [i for i in range(3) if (a >> i) & 1]
+        for J, s in _relabeled(cube, swaps).outmap.items():
+            outmap[(a,) + tuple(x + m for x in J)] = (1 << a) - 1 | s << m
+    return GridUso(p, outmap)
+
+
+def _cyclic_and_random_usos():
+    cube = cyclic_cube_uso()
+    usos = [_relabeled(cube, [i for i in range(3) if (r >> i) & 1]) for r in range(8)]
+    for sizes in [(2, 2, 2), (3, 2, 2)]:
+        usos += [random_uso(GridPartition.uniform(list(sizes)), Rng(seed)) for seed in range(4)]
+    usos += [_cyclic_layers_uso(m) for m in (2, 3, 4)]
+    return usos
+
+
+def test_every_answer_equals_the_violator_mapping_on_cyclic_and_random_usos():
+    relabelings, cyclic = set(), 0
+    for u in _cyclic_and_random_usos():
+        assert validate_uso(u) is None
+        relabelings.add(tuple(sorted(u.outmap.items())))
+        cyclic += has_directed_cycle(u)
+        oracle = uso_oracle(u)
+        for G, h in _every_query(u.n):
+            assert oracle.violates(G, h) == (h in uso_violators(u, G)), (G.mask, h)
+    assert len(relabelings) == 8 + 4 + 4 + 3
+    # the cube's relabelings and the combed layers at least
+    assert cyclic >= 8 + 3
+
+
+@pytest.mark.parametrize("delta", [3, 4, 5])
+def test_walk_stays_within_four_edge_evaluations_per_call(delta):
+    n = 1000
+    p = GridPartition.uniform([n // delta + (i < n % delta) for i in range(delta)])
+    for seed in (1, 2, 3):
+        rankings = _ranked_at_random(p, seed)
+        oracle = coordinate_order_oracle(p, rankings)
+        C, _ = solve(oracle, Rng(seed))
+        assert sorted(C) == sorted(r[0] for r in rankings)
+        assert oracle.edge_evals < 4 * oracle.primitive_calls
 
 
 def test_oracle_answers_exactly_under_concurrent_queries():
