@@ -2,13 +2,13 @@
 
 `trivial_basis` scans all candidate sets of size up to delta.  The base
 case the stages bottom out in returns the same basis with far fewer
-queries: it chases one basis by pivoting on violators, tests at most
-delta of its members for being extreme in G, and scans only supersets
-of the extreme ones.  `basis1` and `basis2` are Clarkson's two
-randomized reduction stages; both return a basis of G for any oracle
-satisfying the violator-space axioms, cyclic or not.  `solve` runs
-basis1 on the whole ground set, which is the combination with expected
-O(delta*n + delta^O(delta)) primitive calls.
+queries: it chases one basis by pivoting on violators, tests its
+members, or all of G's after a repeated basis, for being extreme in G,
+and scans only supersets of the extreme ones.  `basis1` and `basis2`
+are Clarkson's two randomized reduction stages; both return a basis of
+G for any oracle satisfying the violator-space axioms, cyclic or not.
+`solve` runs basis1 on the whole ground set, which is the combination
+with expected O(delta*n + delta^O(delta)) primitive calls.
 
 Both randomized loops carry hard safety bounds that hold for every true
 violator space: basis1 augments its working set at most delta times and
@@ -206,31 +206,29 @@ def _chase(oracle: ViolationOracle, G: ConstraintSet) -> Optional[ConstraintSet]
 
 
 def _chase_basis(oracle: ViolationOracle, G: ConstraintSet) -> ConstraintSet:
-    """The basis `trivial_basis` returns, found by a chase and <= delta
-    extreme tests on large sets.
+    """The basis `trivial_basis` returns, found by a chase, extreme tests
+    on large sets and a scan of the extreme members' supersets.
 
     h is extreme in G when h violates G - h; consistency and locality
-    put it in every basis of G.  Once the chase ends on a basis B, no
-    member outside B is extreme, so E, the extreme members of B, are all
-    of G's.  If E = B, B is the only basis; otherwise the scan over
-    supersets of E meets the same first basis as the full scan.  A
-    repeated basis or a NoBasisFound falls back to the full scan, which
-    keeps the errors and guard trips of a broken oracle.
+    put it in every basis of G, so the scan over supersets of E, the
+    extreme members, meets the same first basis as the full scan.  A
+    chase that ends on a basis B leaves no extreme member outside B, so
+    only B's are tested, and if E = B, B is the only basis; one that
+    repeats a basis tests all of G's.  A NoBasisFound falls back to the
+    full scan, which keeps the errors and guard trips of a broken oracle.
     """
     n = oracle.n
     try:
         B = _chase(oracle, G)
-        if B is not None:
-            extreme = 0
-            for h in B:
-                if oracle.violates(ConstraintSet(G.mask ^ 1 << h, n), h):
-                    extreme |= 1 << h
-            if extreme == B.mask:
-                return B
-            return trivial_basis(oracle, G, extreme)
+        extreme = 0
+        for h in G if B is None else B:
+            if oracle.violates(ConstraintSet(G.mask ^ 1 << h, n), h):
+                extreme |= 1 << h
+        if B is not None and extreme == B.mask:
+            return B
+        return trivial_basis(oracle, G, extreme)
     except NoBasisFound:
-        pass
-    return trivial_basis(oracle, G)
+        return trivial_basis(oracle, G)
 
 
 def _violators(

@@ -103,8 +103,9 @@ class CheckFailed(Exception):
 
 def _validate(kind: str, obj) -> None:
     """Check a loaded file the way its kind calls for; a failure raises
-    CheckFailed with the witness.  Concrete problems and geometric
-    instances are valid by construction."""
+    CheckFailed with the witness.  One solve of a halfplane file's whole
+    LP raises InfeasibleRegion if any subset's region is empty.  Concrete
+    problems and point sets are valid by construction."""
     if kind == "explicit" and obj.n > EXHAUSTIVE_WARN_N:
         sys.stderr.write(
             f"warning: exhaustive axiom check over n={obj.n} subsets is slow\n"
@@ -114,6 +115,8 @@ def _validate(kind: str, obj) -> None:
     elif kind == "uso":
         witness, names = validate_uso(obj[0]), obj[1]
     else:
+        if kind == "halfplanes":
+            Lp2dOracle(obj[0]).optimum_of(ConstraintSet.full(len(obj[1])))
         return
     if witness is not None:
         raise CheckFailed(witness.describe(names))

@@ -375,12 +375,12 @@ class OutmapOracle(ViolationOracle):
     members are asked about cyclically in ascending order, skipping the
     current vertex J's own; an out-edge j moves J to `_step(J, j)`, and
     once all g - delta members outside J are asked in a row without one,
-    J is the sink and is asked about h.  On a USO the walk ends at the
-    subgrid's unique sink.  A vertex the walk reaches twice (only a
-    non-USO membership can lead there) falls back to a scan: each vertex
-    J, in product order, is asked about the members outside J in
-    ascending order until one is in its outmap, the first vertex where
-    none is is asked about h, and with none at all the scan raises.
+    J is the sink and is asked about h.  A vertex the walk reaches twice,
+    which a USO allows too (on some cyclic 4-cube USOs the walk over a
+    3-cube face cycles), falls back to a scan: each vertex J, in
+    product order, is asked about the members outside J in ascending
+    order until one is in its outmap, the first vertex where none is is
+    asked about h, and with none at all the scan raises.
     Every membership query, the walk's and the scan's, is charged one
     evaluation, and no other query is made.  On a non-USO membership
     whose subgrid has several sinks, the walk may answer from another

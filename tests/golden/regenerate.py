@@ -25,7 +25,12 @@ string outmap entry, USO documents missing a vertex, listing a member
 of a vertex in its outmap or past the dense-outmap guard, an abstract
 document whose order repeats a token and concrete documents with a
 repeated or a reserved point label, an 11x11 USO with one edge
-reversed and a 12x11 USO past the validation budget.
+reversed, a 12x11 USO past the validation budget, a 4-cube USO on
+which the oracle's walk cycles, a cyclic 20x2x2x2 USO combed over that
+cube's cycling face, on whose whole set the base case's chase meets a
+basis twice, abstract documents whose values are a list, whose order
+holds a number or misses a value, a CSV whose one row is a header of
+empty cells, and two halfplane files whose region is empty.
 """
 
 from __future__ import annotations
@@ -215,6 +220,68 @@ def _coordinate_uso(seed: int, sizes, flip=None) -> str:
                                   for J, out in outmap.items()}})
 
 
+# A 4-cube USO on which the oracle's round-robin walk cycles: on the
+# face with block {4, 5} fixed to 4 it runs from 0,2,4,6 via 1, 3, 7, 0,
+# 2 and 6 back to 0,2,4,6 and then answers from the product scan.
+CYCLING_4CUBE = {
+    "blocks": [["0", "1"], ["2", "3"], ["4", "5"], ["6", "7"]],
+    "outmap": {
+        "0,2,4,6": ["1", "3"], "0,2,4,7": ["5", "6"], "0,2,5,6": ["1", "3", "4"],
+        "0,2,5,7": ["3", "6"], "0,3,4,6": ["5"], "0,3,4,7": ["2", "5", "6"],
+        "0,3,5,6": ["1"], "0,3,5,7": ["1", "6"], "1,2,4,6": ["3", "5"],
+        "1,2,4,7": ["0", "3", "6"], "1,2,5,6": [], "1,2,5,7": ["0", "3", "4", "6"],
+        "1,3,4,6": ["0", "5", "7"], "1,3,4,7": ["0", "5"], "1,3,5,6": ["2"],
+        "1,3,5,7": ["6"],
+    },
+}
+
+
+def combed_cycling(seed: int, m: int):
+    """Blocks and membership "j is in the outmap of J" of a cyclic grid
+    USO with delta = 4.
+
+    Block 0, members 0..m-1, is combed by a random ranking: each of its
+    edges points to the lower rank.  Its layers are over the blocks
+    {m, m+1}, {m+2, m+3} and {m+4, m+5}.  Each is the face of
+    CYCLING_4CUBE with block {4, 5} fixed to 4, its three blocks
+    permuted and its members swapped at random.  The lemma in
+    `combed_random_uso`'s docstring makes the whole a USO."""
+    rnd = random.Random(seed)
+    rank = {h: r for r, h in enumerate(rnd.sample(range(m), m))}
+    outmap = CYCLING_4CUBE["outmap"]
+    layers = []
+    for _ in range(m):
+        # the cube blocks that grid blocks 1-3 stand for, and their swaps
+        cube_blocks = rnd.sample((0, 1, 3), 3)
+        swaps = [rnd.randrange(2) for _ in range(3)]
+        layer = {}
+        for bits in itertools.product((0, 1), repeat=3):
+            cube = [0, 0, 4, 0]
+            for c, bit, swap in zip(cube_blocks, bits, swaps):
+                cube[c] = 2 * c + (bit ^ swap)
+            out = {int(x) // 2 for x in outmap[",".join(map(str, cube))]}
+            layer[bits] = [c in out for c in cube_blocks]
+        layers.append(layer)
+    blocks = [list(range(m))] + [[m + 2 * k, m + 2 * k + 1] for k in range(3)]
+
+    def member(J, j):
+        if j < m:
+            return rank[j] < rank[J[0]]
+        k = (j - m) // 2
+        return j != J[k + 1] and layers[J[0]][tuple((x - m) & 1 for x in J[1:])][k]
+
+    return blocks, member
+
+
+def _combed_cycling_file(seed: int, m: int) -> str:
+    blocks, member = combed_cycling(seed, m)
+    n = m + 6
+    return json.dumps({"blocks": [[f"u{h}" for h in b] for b in blocks],
+                       "outmap": {",".join(f"u{h}" for h in J):
+                                  [f"u{j}" for j in range(n) if member(J, j)]
+                                  for J in itertools.product(*blocks)}})
+
+
 _FGH = ["f", "g", "h"]
 
 
@@ -275,6 +342,7 @@ TABLES = {
     "bad_abstract_unknown_key.json": lambda: _broken_abstract(_renamed("g", "zz")),
     "bad_abstract_repeated_key.json": lambda: _broken_abstract(_renamed("f", "h,g")),
     "bad_abstract_missing_key.json": lambda: _broken_abstract(lambda v: v.pop("f,g,h")),
+    "uso_cycling_4cube.json": lambda: json.dumps(CYCLING_4CUBE),
 }
 
 
@@ -348,6 +416,21 @@ ERROR_INPUTS = {
         {"points": ["p", "p"], "constraints": [[0], [1]]}),
     "bad_concrete_reserved_point.json": lambda: json.dumps(
         {"points": ["+inf", "x"], "constraints": [[0], [1]]}),
+    # value tables whose values are a list, whose order holds a number,
+    # and whose value y is not in the order
+    "bad_abstract_values_list.json": lambda: json.dumps(
+        {"names": ["a"], "values": [["", "0"], ["a", "1"]], "order": ["0", "1"]}),
+    "bad_abstract_order_number.json": lambda: json.dumps(
+        {"names": ["a"], "values": {"": "0", "a": "1"}, "order": ["0", 1]}),
+    "bad_abstract_unordered_value.json": lambda: json.dumps(
+        {"names": ["a"], "values": {"": "0", "a": "y"}, "order": ["0", "1"]}),
+    # a CSV whose only row is a header of empty cells
+    "bad_empty_header.csv": lambda: '"",""\n',
+    # halfplanes with an empty region: x <= -1, and three rows feasible
+    # in pairs but not together
+    "empty_halfplane.csv": lambda: _csv("name,a,b,c", [["h0", 1, 0, -1]]),
+    "empty_halfplanes_3.csv": lambda: _csv(
+        "name,a,b,c", [["h0", -1, -1, -3], ["h1", 1, 0, 1], ["h2", 0, 1, 1]]),
 }
 
 
@@ -367,6 +450,9 @@ GENERATED = {
     # and an 11x11 grid, whose validation scans 53,361 subgrids
     "uso_40.json": lambda: _coordinate_uso(40, (40,)),
     "uso_11x11.json": lambda: _coordinate_uso(1111, (11, 11)),
+    # a cyclic USO with 20 x 2 x 2 x 2 vertices, on whose whole set the
+    # base case's chase meets a basis twice
+    "uso_combed_cycling_20.json": lambda: _combed_cycling_file(0, 20),
 }
 
 INSTANCES = [
@@ -400,6 +486,8 @@ USO_FILES = [
     f"{INPUTS}/uso_4x4x3.json",
     f"{INPUTS}/uso_40.json",
     f"{INPUTS}/uso_11x11.json",
+    f"{INPUTS}/uso_cycling_4cube.json",
+    f"{INPUTS}/uso_combed_cycling_20.json",
 ]
 # solved through their violator tables: a concrete file's value table,
 # an abstract file's up masks and an explicit file as loaded
@@ -496,8 +584,10 @@ def error_commands():
     dense-outmap guard (exit 4), an abstract order that repeats a token,
     concrete files with a repeated or a reserved point label, `bench`
     with more blocks than members (exit 4), an 11x11 USO with one edge
-    reversed (exit 1) and a 12x11 USO past the validation budget (exit
-    4)."""
+    reversed (exit 1), a 12x11 USO past the validation budget (exit 4),
+    abstract files whose values are a list, whose order holds a number
+    or misses a value, a CSV of empty header cells (exit 2), and
+    halfplane files whose region is empty (exit 1)."""
     for name in ("corrupt_abstract_monotonicity.json", "corrupt_abstract_locality.json"):
         path = f"{INPUTS}/{name}"
         yield ["check", path]
@@ -524,6 +614,13 @@ def error_commands():
     yield ["bench", "--delta", "5", "--sizes", "3"]
     yield ["check", f"{INPUTS}/bad_uso_11x11_flipped.json"]
     yield ["check", f"{INPUTS}/bad_uso_12x11.json"]
+    for name in ("bad_abstract_values_list.json", "bad_abstract_order_number.json",
+                 "bad_abstract_unordered_value.json", "bad_empty_header.csv"):
+        yield ["check", f"{INPUTS}/{name}"]
+    for name in ("empty_halfplane.csv", "empty_halfplanes_3.csv"):
+        yield ["check", f"{INPUTS}/{name}"]
+        yield ["solve", f"{INPUTS}/{name}"]
+    yield ["structure", f"{INPUTS}/empty_halfplanes_3.csv"]
 
 
 SLICES = (geometric_commands, table_commands, uso_commands, table_solve_commands,

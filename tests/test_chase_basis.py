@@ -1,14 +1,15 @@
 """The chasing base case against the exhaustive scan.
 
 `_chase_basis` pivots to one basis of G, tests its members for being
-extreme in G and scans only supersets of the extreme ones; `trivial_basis`
-tries every subset of size <= delta.  On every input both must return the
-same basis or raise the same `NoBasisFound` message.  Every oracle here
-is capped, so a chase that stops ending fails instead of hanging.
+extreme in G (every member of G when the chase meets a basis twice) and
+scans only supersets of the extreme ones; `trivial_basis` tries every
+subset of size <= delta.  On every input both must return the same basis
+or raise the same `NoBasisFound` message.  Every oracle here is capped,
+so a chase that stops ending fails instead of hanging.
 """
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,16 +23,21 @@ from violator_spaces import (
     Lp2dOracle,
     MiniballOracle,
     NoBasisFound,
+    OutmapOracle,
     PointSet,
     Rng,
     cyclic_cube_uso,
     random_uso,
+    solve,
     tabulate_oracle,
     trivial_basis,
     uso_oracle,
+    validate_uso,
 )
+from violator_spaces.fileio import load_path
 
 from conftest import random_concrete_space
+from golden.regenerate import HERE, combed_cycling
 from test_algorithms import _ChasingOracle
 
 CAP = 100_000
@@ -182,9 +188,84 @@ def test_a_square_returns_the_first_basis_not_the_chased_one():
 # -- oracles that break the axioms -----------------------------------------
 
 
-@pytest.mark.parametrize("n, delta", [(6, 1), (9, 2), (12, 1), (50, 1)])
+CHASING = [(6, 1), (9, 2), (12, 1), (50, 1)]
+
+
+@pytest.mark.parametrize("n, delta", CHASING)
 def test_chasing_oracle_falls_back_to_the_scan(n, delta):
     assert alg._chase(_capped(_ChasingOracle(n, delta)), ConstraintSet.full(n)) is None
     rnd = random.Random(n)
     sets = [(1 << n) - 1, 0] + [rnd.getrandbits(n) for _ in range(10)]
     assert _assert_same_bases(lambda: _ChasingOracle(n, delta), sets) > 0
+
+
+# -- a chase that meets a basis twice --------------------------------------
+
+
+def _reference_chase_basis(oracle, G):
+    """The base case, frozen here: after a chase that meets a basis
+    twice, every member of G in ascending order is tested for being
+    extreme, and the scan runs over supersets of the extreme ones."""
+    n = oracle.n
+    try:
+        B = alg._chase(oracle, G)
+        extreme = 0
+        for h in G if B is None else B:
+            if oracle.violates(ConstraintSet(G.mask ^ 1 << h, n), h):
+                extreme |= 1 << h
+        if B is not None and extreme == B.mask:
+            return B
+        return trivial_basis(oracle, G, extreme)
+    except NoBasisFound:
+        return trivial_basis(oracle, G)
+
+
+def _query_log(basis, oracle, gmask):
+    """The outcome of basis on G and every (G, h) it asked, in order."""
+    log = []
+    inner = oracle._violates
+
+    def violates(G, h):
+        log.append((G.mask, h))
+        return inner(G, h)
+
+    oracle._violates = violates
+    return _outcome(basis, oracle, gmask), log
+
+
+def test_a_repeated_basis_asks_what_the_frozen_base_case_asks():
+    cases = [(lambda n=n, delta=delta: _ChasingOracle(n, delta), n) for n, delta in CHASING]
+    cube = _cyclic_cube()
+    for perm in permutations(range(cube.n)):
+        cases.append((lambda space=_relabeled(cube, perm): space.oracle(3), cube.n))
+    # a cyclic USO with 20 x 2 x 2 x 2 vertices
+    _, (combed, _) = load_path(str(HERE / "uso_combed_cycling_20.json"))
+    assert validate_uso(combed) is None
+    cases.append((lambda: uso_oracle(combed), combed.n))
+    repeated = 0
+    for make, n in cases:
+        if alg._chase(_capped(make()), ConstraintSet.full(n)) is not None:
+            continue
+        repeated += 1
+        log = _query_log(alg._chase_basis, make(), (1 << n) - 1)
+        assert log == _query_log(_reference_chase_basis, make(), (1 << n) - 1)
+        _assert_same_bases(make, [(1 << n) - 1])
+    assert repeated == len(CHASING) + 78 + 1
+
+
+def test_a_lazy_cyclic_solve_that_repeats_a_basis_stays_cheap(monkeypatch):
+    blocks, member = combed_cycling(1, 100)
+    oracle = OutmapOracle(GridPartition(tuple(map(tuple, blocks))), member)
+    chase, repeated = alg._chase, []
+
+    def spy(oracle, G):
+        B = chase(oracle, G)
+        repeated.append(B is None)
+        return B
+
+    monkeypatch.setattr(alg, "_chase", spy)
+    C, stats = solve(oracle, Rng(1))
+    assert any(repeated)
+    sink = next(J for J in product(*blocks) if not any(member(J, j) for j in range(oracle.n)))
+    assert sorted(C) == sorted(sink)
+    assert stats.primitive_calls < 10_000

@@ -20,7 +20,9 @@ Last, it holds `solve` (every --algo, two seeds, text and JSON) on the
 cyclic cube, a 3x2x2 and a 4x4x3 coordinate-order USO, whose base
 cases run the oracle's sink scans: their `edge_evals` must not move.
 The same rows on a 40-member one-block USO run Clarkson's stages and
-weighted draws, and on an 11x11 USO validation past 16 members.
+weighted draws, on an 11x11 USO validation past 16 members, on a
+4-cube USO the walk's fallback scan, and on a cyclic 20x2x2x2 USO a
+base case whose chase meets a basis twice.
 
 It also holds `solve` (every --algo, two seeds, text and JSON) on a
 concrete, an abstract and an explicit file, which runs each file's
@@ -41,8 +43,12 @@ outmap entry, a USO file missing a vertex or listing a member of a
 vertex in its outmap, an abstract order repeating a token and concrete
 files with a repeated or a reserved point label (exit 2), and a USO
 grid past the dense-outmap guard and `bench` with more blocks than
-members (exit 4), and `check` on an 11x11 USO with one edge reversed
-(exit 1) and on a 12x11 USO past the validation budget (exit 4).
+members (exit 4), `check` on an 11x11 USO with one edge reversed
+(exit 1) and on a 12x11 USO past the validation budget (exit 4),
+`check` on abstract files whose values are a list, whose order holds a
+number or misses a value, and on a CSV of empty header cells (exit 2),
+and `check`, `solve` and `structure` on halfplane files whose region
+is empty (exit 1).
 `golden/regenerate.py` rewrites it.
 """
 

@@ -21,9 +21,12 @@ from violator_spaces import (
     validate_uso,
 )
 
+from violator_spaces import grid_uso
+from violator_spaces.fileio import uso_from_dict
 from violator_spaces.grid_uso import combed_random_uso
 
 from conftest import random_uso_space
+from golden.regenerate import CYCLING_4CUBE
 
 SHAPES = [(2, 2), (3, 2), (2, 2, 2), (3, 2, 2)]
 
@@ -529,6 +532,25 @@ def test_a_revisiting_walk_answers_from_the_scans_sink():
     assert oracle.violates(G, 2)
     assert _reference_query(p, membership, G, 2)[0]
     assert (True, oracle.edge_evals) == _reference_walk_query(p, membership, G, 2)
+
+
+def test_the_walk_falls_back_to_the_scan_on_a_true_uso(monkeypatch):
+    u, _ = uso_from_dict(CYCLING_4CUBE)
+    assert validate_uso(u) is None
+    queries = list(_every_query(u.n))
+    expected = [h in uso_violators(u, G) for G, h in queries]
+    scanned = []
+    subgrid = grid_uso._subgrid
+
+    def spy(gmask, partition):
+        scanned.append(gmask)
+        return subgrid(gmask, partition)
+
+    monkeypatch.setattr(grid_uso, "_subgrid", spy)
+    oracle = uso_oracle(u)
+    assert [oracle.violates(G, h) for G, h in queries] == expected
+    # on G = {0,1,2,3,4,6,7} the walk runs from 0,2,4,6 back to it
+    assert 0b11011111 in scanned
 
 
 def _relabeled(u, swaps):

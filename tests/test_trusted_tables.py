@@ -34,6 +34,7 @@ from violator_spaces import (
 from violator_spaces.fileio import explicit_from_dict, explicit_to_dict, load_path
 
 from conftest import FIXTURES
+from golden.regenerate import ERROR_INPUTS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -194,10 +195,12 @@ def test_every_table_file_builds_a_valid_table(path):
 
 def _csv_files():
     files = sorted(FIXTURES.glob("*.csv")) + sorted(GOLDEN.glob("*.csv"))
-    # the infeasible LP has empty regions and so no violator table
+    # the infeasible LP has empty regions and so no violator table, and
+    # the error rows' CSVs have an empty region or do not parse
     return [
         p for p in files
-        if len(p.read_text().splitlines()) <= 11 and p.name != "infeasible.csv"
+        if len(p.read_text().splitlines()) <= 11
+        and p.name != "infeasible.csv" and p.name not in ERROR_INPUTS
     ]
 
 
